@@ -11,11 +11,12 @@ from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma
 from .corrsum import (
+    InvSqrtBound,
     build_rep_table,
     correlation,
     correlation_group_oracle,
     f_deviation,
-    g_ratio,
+    g_value,
 )
 from .errors import (
     CapacityExceeded,
@@ -229,14 +230,11 @@ def _cmd_table_g(args) -> int:
     body = []
     lines = []
     rows = [["v", "n_value", "g"]]
-    from .corrsum import InvSqrtBound
-
     for v in vs:
         res = correlation(field, v, InvSqrtBound(field.d, Fraction(v)),
                           include_lambda_zero=include, threads=args.threads,
                           memory_budget=args.memory_budget)
-        g = g_ratio(field, v, include_lambda_zero=include, threads=args.threads,
-                    memory_budget=args.memory_budget)
+        g = g_value(res, v)
         body.append({"v": _frac_str(Fraction(v)), "n_value": res.n_value, "g": g})
         rows.append([_frac_str(Fraction(v)), res.n_value, f"{g:.6f}"])
         lines.append(f"V={_frac_str(Fraction(v))}: N = {res.n_value}, G = {g:.6f}")

@@ -14,8 +14,13 @@ so every lambda + 1 needed by the correlation is present. Box membership in
 the correlation itself is half-open (0 <= lambda < V1, 0 <= lambda^sigma < V2)
 and decided by exact integer sign tests; lambda = 0 is included by default.
 
-All bookkeeping is integer-exact; floats only seed the search for window
-edges, which are then fixed by exact predicates.
+All bookkeeping is integer-exact. The window edges of every trace row come
+from one closed form, the largest j with j m sqrt(d) <= R, which is
+isqrt(R^2 // (m^2 d)) with its sign restored, evaluated over all rows at once
+as numpy arrays (int64 where the magnitudes provably fit, Python ints
+otherwise). An irrational bound such as V^(-1/2) is bracketed between two
+rationals a/m and (a+1)/m; the rare rows where the two ends disagree are
+settled by the exact predicate. Floats only seed the integer square root.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ from .repcount import r_brute
 DEFAULT_MEMORY_BUDGET = 2 << 30
 MEMORY_BUDGET_ENV = "QUADCORR_MEM_BUDGET"
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
+# largest value of an int32 table cell
+_CELL_LIMIT = 2**31 - 1
+# bytes per row: the row metadata (48) plus the peak of an int64 edge pass
+# over all rows (measured at most 96; the Python-int path takes more)
+_ROW_BYTES = 160
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +71,14 @@ class RationalBound:
 
     def plus_one(self) -> "RationalBound":
         return RationalBound(self.d, self.value + 1)
+
+    def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
+        """(a, m, exact) with a/m <= sigma*bound < (a+1)/m, and a/m equal to
+        sigma*bound when exact; scale is the wanted m of an inexact bracket."""
+        return sigma * self.value.numerator, self.value.denominator, True
+
+    def ceil(self) -> int:
+        return -(-self.value.numerator // self.value.denominator)
 
     def is_positive(self) -> bool:
         return self.value > 0
@@ -101,6 +119,14 @@ class InvSqrtBound:
     def plus_one(self) -> "OffsetBound":
         return OffsetBound(self, 1)
 
+    def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
+        nv, dv = self.v.numerator, self.v.denominator
+        return isqrt(sigma * sigma * dv * scale * scale // nv), scale, False
+
+    def ceil(self) -> int:
+        # smallest c with c^2 >= 1/v
+        return isqrt(-(-self.v.denominator // self.v.numerator) - 1) + 1
+
     def is_positive(self) -> bool:
         return True
 
@@ -130,6 +156,13 @@ class OffsetBound:
     def plus_one(self) -> "OffsetBound":
         return OffsetBound(self.inner, self.offset + 1)
 
+    def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
+        a, m, exact = self.inner.bracket(sigma, scale)
+        return a + sigma * self.offset * m, m, exact
+
+    def ceil(self) -> int:
+        return self.inner.ceil() + self.offset
+
     def is_positive(self) -> bool:
         return True
 
@@ -152,66 +185,61 @@ def make_bound(field: FieldData, value) -> Bound:
 
 
 # ---------------------------------------------------------------------------
-# Window edge search: float guess, then exact adjustment.
+# Window edges in closed form, for all rows at once.
 # ---------------------------------------------------------------------------
 
-_SCAN_CAP = 1 << 20
+# The int64 path is taken when every |R| and m * (isqrt(d) + 1) stay within
+# this, so R^2, m^2 d and the square-root corrections stay below 2^63.
+_I64_ROOT = 1 << 31
+# bracket scale on the Python-int path: ends disagree on about 1 row in 2^64
+_WIDE_SCALE = 1 << 64
 
 
 def _doubled(i: int, j: int, sigma: int) -> tuple[int, int]:
     return (i, j) if sigma == 2 else (2 * i, 2 * j)
 
 
-def _max_j(bound: Bound, i: int, sigma: int, strict: bool) -> int:
-    """Largest j with bound >= (i + j sqrt d)/sigma (or > when strict)."""
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) elementwise, for int64 x below 2^62 or object x >= 0."""
+    if x.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(x)
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)  # off by at most one
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
+def _floor_div_sqrt(r: np.ndarray, m: int, d: int, strict: bool) -> np.ndarray:
+    """Largest j with j m sqrt(d) <= r (< r when strict), elementwise. For
+    r != 0 the ratio r / (m sqrt d) is irrational, so only r = 0 tells strict
+    from closed."""
+    q = _isqrt(r * r // (m * m * d))
+    return np.where(r > 0, q, np.where(r < 0, -q - 1, -1 if strict else 0))
+
+
+def _max_j(bound: Bound, i: np.ndarray, sigma: int, strict: bool) -> np.ndarray:
+    """Largest j with bound >= (i + j sqrt d)/sigma (or > when strict), for
+    every row of the integer array i at once."""
     d = bound.d
-    guess = int((sigma * float(bound) - i) / sqrt(d))
-
-    def ok(j: int) -> bool:
-        p, q = _doubled(i, j, sigma)
-        return bound.allows(p, q, strict)
-
-    j = guess
-    steps = 0
-    if ok(j):
-        while ok(j + 1):
-            j += 1
-            steps += 1
-            if steps > _SCAN_CAP:
-                raise ArithmeticError("window scan failed to converge")
-    else:
-        while not ok(j):
-            j -= 1
-            steps += 1
-            if steps > _SCAN_CAP:
-                raise ArithmeticError("window scan failed to converge")
+    root = isqrt(d) + 1
+    reach = int(np.abs(i).max(initial=0)) + sigma * abs(bound.ceil()) + 2
+    a, m, exact = bound.bracket(sigma, _I64_ROOT // (reach * root) or _WIDE_SCALE)
+    wide = abs(a) + 1 + m * reach > _I64_ROOT or m * root > _I64_ROOT
+    # j m sqrt(d) <= R with R = a - m i, at the lower end of the bracket
+    r = a - m * i.astype(object if wide else np.int64)
+    j = _floor_div_sqrt(r, m, d, strict)
+    if not exact:
+        upper = _floor_div_sqrt(r + 1, m, d, strict)
+        for row in np.flatnonzero(upper != j):  # they differ by one at most
+            p, q = _doubled(int(i[row]), int(upper[row]), sigma)
+            if bound.allows(p, q, strict):
+                j[row] = upper[row]
     return j
 
 
-def _min_j(bound: Bound, i: int, sigma: int, strict: bool) -> int:
-    """Smallest j with bound >= (i - j sqrt d)/sigma (or > when strict)."""
-    d = bound.d
-    guess = int(-(sigma * float(bound) - i) / sqrt(d))
-
-    def ok(j: int) -> bool:
-        p, q = _doubled(i, -j, sigma)
-        return bound.allows(p, q, strict)
-
-    j = guess
-    steps = 0
-    if ok(j):
-        while ok(j - 1):
-            j -= 1
-            steps += 1
-            if steps > _SCAN_CAP:
-                raise ArithmeticError("window scan failed to converge")
-    else:
-        while not ok(j):
-            j += 1
-            steps += 1
-            if steps > _SCAN_CAP:
-                raise ArithmeticError("window scan failed to converge")
-    return j
+def _min_j(bound: Bound, i: np.ndarray, sigma: int, strict: bool) -> np.ndarray:
+    """Smallest j with bound >= (i - j sqrt d)/sigma (or > when strict), per row."""
+    return -_max_j(bound, i, sigma, strict)
 
 
 def _snap_up(j: int, parity: int) -> int:
@@ -267,68 +295,58 @@ class RepTable:
             raise OutOfRange("symmetric storage requires equal rational bounds")
         self.symmetric = symmetric
 
+        # bound the rows before any row array exists: 2i/sigma = lambda +
+        # lambda^sigma <= b1 + b2; _compute_rows trims it to the last filled row
+        self.imax = self.sigma * (self.b1.ceil() + self.b2.ceil()) // 2
+        self.cells = 0
+        self._check_budget(threads, memory_budget)
         self._compute_rows()
         self._check_budget(threads, memory_budget)
         self._build(max(1, threads))
 
     # -- geometry ---------------------------------------------------------
 
-    def _parity(self, i: int) -> int:
-        return i & 1 if self.sigma == 2 else 0
+    def _parity(self, i):
+        """Parity of the stored j in row i (an int or an int64 array): i mod 2
+        in doubled coordinates, else 0."""
+        return i & (self.sigma - 1)
 
     def _compute_rows(self) -> None:
         d = self.field.d
         sigma = self.sigma
-        cap = int((float(self.b1) + float(self.b2)) * sigma / 2) + 4
-
-        jlo_full: list[int] = []
-        jhi_full: list[int] = []
-        for i in range(cap + 1):
-            top = isqrt(i * i // d)
-            hi = min(top, _max_j(self.b1, i, sigma, strict=False))
-            lo = max(-top, _min_j(self.b2, i, sigma, strict=False))
-            jlo_full.append(lo)
-            jhi_full.append(hi)
-
-        while jhi_full and jhi_full[-1] < jlo_full[-1]:
-            jlo_full.pop()
-            jhi_full.pop()
-        self.imax = len(jhi_full) - 1
-        if self.imax < 0:
+        i = np.arange(self.imax + 1, dtype=np.int64)
+        top = _floor_div_sqrt(i, 1, d, strict=False)  # lambda, lambda^sigma >= 0
+        hi = np.minimum(top, _max_j(self.b1, i, sigma, strict=False))
+        lo = np.maximum(-top, _min_j(self.b2, i, sigma, strict=False))
+        filled = np.flatnonzero(hi >= lo)
+        if not len(filled):
             raise OutOfRange("empty window")
+        n = int(filled[-1]) + 1
+        self.imax = n - 1
+        self.jlo_full = lo[:n].astype(np.int64)
+        self.jhi_full = hi[:n].astype(np.int64)
+        del i, top, hi, lo
 
-        n = self.imax + 1
-        y0 = np.zeros(n, dtype=np.int64)
-        yhi = np.zeros(n, dtype=np.int64)
-        klen = np.zeros(n, dtype=np.int64)
-        self.jlo_full = jlo_full
-        self.jhi_full = jhi_full
-        for i in range(n):
-            par = self._parity(i)
-            lo = jlo_full[i]
-            hi = jhi_full[i]
-            if self.symmetric:
-                lo = par  # keep only j >= 0; the mirror half follows from conjugation
-            lo_p = _snap_up(lo, par)
-            hi_p = _snap_down(hi, par)
-            if hi_p < lo_p:
-                y0[i], yhi[i], klen[i] = 0, -2, 0
-            else:
-                y0[i], yhi[i], klen[i] = lo_p, hi_p, (hi_p - lo_p) // 2 + 1
-        self.y0 = y0
-        self.yhi = yhi
-        self.klen = klen
+        par = self._parity(np.arange(n, dtype=np.int64))
+        # symmetric storage keeps only j >= 0; the mirror half follows from conjugation
+        lo_p = _snap_up(par if self.symmetric else self.jlo_full, par)
+        hi_p = _snap_down(self.jhi_full, par)
+        empty = hi_p < lo_p
+        self.y0 = np.where(empty, 0, lo_p)
+        self.yhi = np.where(empty, -2, hi_p)
+        self.klen = np.where(empty, 0, (hi_p - lo_p) // 2 + 1)
         self.row_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(klen, out=self.row_start[1:])
+        np.cumsum(self.klen, out=self.row_start[1:])
         self.cells = int(self.row_start[-1])
 
     def _check_budget(self, threads: int, memory_budget: int | None) -> None:
         budget = _memory_budget(memory_budget)
         copies = 1 + (threads if threads > 1 else 0)
-        need = self.cells * 4 * copies + (self.imax + 1) * 8 * 5
+        rows = self.imax + 1
+        need = self.cells * 4 * copies + rows * _ROW_BYTES
         if need > budget:
             raise CapacityExceeded(
-                f"table needs about {need} bytes ({self.cells} cells, "
+                f"table needs about {need} bytes ({rows} rows, {self.cells} cells, "
                 f"{copies} copies) against a budget of {budget}"
             )
 
@@ -337,57 +355,27 @@ class RepTable:
     def _square_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Distinct squares xi^2 inside the window as (i, j, multiplicity),
         one representative per {xi, -xi} pair."""
-        d = self.field.d
-        imax = self.imax
-        si: list[int] = []
-        sj: list[int] = []
-        sw: list[int] = []
-
-        def push(iv: int, jv: int, w: int) -> None:
-            if iv <= imax and self.jlo_full[iv] <= jv <= self.jhi_full[iv]:
-                si.append(iv)
-                sj.append(jv)
-                sw.append(w)
-
-        if self.sigma == 1:
-            amax = isqrt(imax)
-            for a in range(0, amax + 1):
-                bmax = isqrt((imax - a * a) // d)
-                for b in range(0, bmax + 1):
-                    iv = a * a + d * b * b
-                    jv = 2 * a * b
-                    if a == 0 and b == 0:
-                        push(0, 0, 1)
-                    elif a == 0 or b == 0:
-                        push(iv, jv, 2)
-                    else:
-                        push(iv, jv, 2)
-                        push(iv, -jv, 2)
-        else:
-            amax = isqrt(2 * imax)
-            for A in range(0, amax + 1):
-                rem = 2 * imax - A * A
-                bmax = isqrt(rem // d)
-                bstart = A & 1
-                for B in range(bstart, bmax + 1, 2):
-                    iv = (A * A + d * B * B) // 2
-                    jv = A * B
-                    if A == 0 and B == 0:
-                        push(0, 0, 1)
-                    elif A == 0 or B == 0:
-                        push(iv, jv, 2)
-                    else:
-                        push(iv, jv, 2)
-                        push(iv, -jv, 2)
-        return (
-            np.array(si, dtype=np.int64),
-            np.array(sj, dtype=np.int64),
-            np.array(sw, dtype=np.int64),
-        )
+        d, sigma = self.field.d, self.sigma
+        # xi = (A + B sqrt d)/2 with A = B (mod 2), both even unless sigma = 2,
+        # has xi^2 in the cell (sigma (A^2 + d B^2)/4, sigma A B/2), row <= imax
+        reach = 4 * self.imax // sigma
+        pts = []
+        for A in range(0, isqrt(reach) + 1, 3 - sigma):
+            for B in range(A & 1, isqrt((reach - A * A) // d) + 1, 2):
+                iv, jv = sigma * (A * A + d * B * B) // 4, sigma * A * B // 2
+                pts.append((iv, jv, 2 if A or B else 1))
+                if A and B:
+                    pts.append((iv, -jv, 2))
+        si, sj, sw = np.array(pts, dtype=np.int64).T
+        inside = (self.jlo_full[si] <= sj) & (sj <= self.jhi_full[si])
+        return si[inside], sj[inside], sw[inside]
 
     def _build(self, threads: int) -> None:
         si, sj, sw = self._square_points()
         n_pts = len(si)
+        # for a fixed t the partners hit distinct cells, adding at most 8 to each
+        if 8 * n_pts > _CELL_LIMIT:
+            raise CapacityExceeded(f"{n_pts} square points could overflow 32-bit cell counters")
         flat = np.zeros(self.cells, dtype=np.int32)
 
         def accumulate(target: np.ndarray, lo: int, hi: int) -> None:
@@ -425,14 +413,12 @@ class RepTable:
                 w.join()
             for part in partials:  # fixed order: the merge is associative anyway
                 flat += part
-        if self.cells and int(flat.min()) < 0:
-            raise CapacityExceeded("cell counter overflowed 32 bits")
         self.flat = flat
 
     # -- access -----------------------------------------------------------
 
     def contains(self, i: int, j: int) -> bool:
-        return 0 <= i <= self.imax and self.jlo_full[i] <= j <= self.jhi_full[i]
+        return 0 <= i <= self.imax and bool(self.jlo_full[i] <= j <= self.jhi_full[i])
 
     def lookup(self, i: int, j: int) -> int:
         """r(lambda) for the cell (i, j); raises OutOfRange outside the window."""
@@ -468,8 +454,8 @@ class RepTable:
         writer.writerow(["x", "y", "r"])
         for i in range(self.imax + 1):
             par = self._parity(i)
-            lo = _snap_up(self.jlo_full[i], par)
-            hi = _snap_down(self.jhi_full[i], par)
+            lo = _snap_up(int(self.jlo_full[i]), par)
+            hi = _snap_down(int(self.jhi_full[i]), par)
             for j in range(lo, hi + 1, 2):
                 writer.writerow([i, j, self.lookup(i, j)])
 
@@ -510,13 +496,30 @@ class CorrelationResult:
         }
 
 
-def _strict_row_range(table: RepTable, i: int) -> tuple[int, int]:
-    d = table.field.d
+def _strict_row_range(table: RepTable) -> tuple[np.ndarray, np.ndarray]:
+    """Edges (lo, hi) of the half-open box in every row 0..imax."""
     sigma = table.sigma
-    top = isqrt(i * i // d)
-    hi = min(top, _max_j(table.v1, i, sigma, strict=True))
-    lo = max(-top, _min_j(table.v2, i, sigma, strict=True))
+    i = np.arange(table.imax + 1, dtype=np.int64)
+    top = _floor_div_sqrt(i, 1, table.field.d, strict=False)
+    hi = np.minimum(top, _max_j(table.v1, i, sigma, strict=True))
+    lo = np.maximum(-top, _min_j(table.v2, i, sigma, strict=True))
     return lo, hi
+
+
+def _run_dot(table: RepTable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
+    """Sum of r(lambda) r(lambda + 1) over the cells j = lo, lo+2, ..., hi of
+    each row (lo, hi of the row's parity), in int64."""
+    ln = (hi - lo) // 2 + 1
+    used = ln > 0
+    rows, lo, ln = rows[used], lo[used], ln[used]
+    rows2 = rows + table.sigma
+    a0 = table.row_start[rows] + ((lo - table.y0[rows]) >> 1)
+    b0 = table.row_start[rows2] + ((lo - table.y0[rows2]) >> 1)
+    flat = table.flat
+    total = 0
+    for a, b, n in zip(a0.tolist(), b0.tolist(), ln.tolist()):
+        total += int(np.dot(flat[a:a + n].astype(np.int64), flat[b:b + n].astype(np.int64)))
+    return total
 
 
 def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
@@ -531,37 +534,21 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         want2 = make_bound(field, v2).describe()
         if table.v1.describe() != want1 or table.v2.describe() != want2:
             raise OutOfRange("supplied table was built for different bounds")
-    sigma = table.sigma
-    total = 0
-    for i in range(table.imax + 1):
-        if i == 0 and not include_lambda_zero:
-            continue
-        lo, hi = _strict_row_range(table, i)
-        par = table._parity(i)
-        lo = _snap_up(lo, par)
-        hi = _snap_down(hi, par)
-        if hi < lo:
-            continue
-        i2 = i + sigma
-        if table.symmetric:
-            # strict box is symmetric: fold onto j >= 0
-            start_pos = 2 - par if par == 0 else 1
-            if hi >= start_pos:
-                k1 = (start_pos - int(table.y0[i])) >> 1
-                k2 = (start_pos - int(table.y0[i2])) >> 1
-                ln = (hi - start_pos) // 2 + 1
-                a = table.flat[table.row_start[i] + k1: table.row_start[i] + k1 + ln]
-                b = table.flat[table.row_start[i2] + k2: table.row_start[i2] + k2 + ln]
-                total += 2 * int(np.dot(a.astype(np.int64), b.astype(np.int64)))
-            if par == 0 and lo <= 0 <= hi:
-                total += table.lookup(i, 0) * table.lookup(i2, 0)
-        else:
-            k1 = (lo - int(table.y0[i])) >> 1
-            k2 = (lo - int(table.y0[i2])) >> 1
-            ln = (hi - lo) // 2 + 1
-            a = table.flat[table.row_start[i] + k1: table.row_start[i] + k1 + ln]
-            b = table.flat[table.row_start[i2] + k2: table.row_start[i2] + k2 + ln]
-            total += int(np.dot(a.astype(np.int64), b.astype(np.int64)))
+    lo, hi = _strict_row_range(table)
+    rows = np.arange(table.imax + 1, dtype=np.int64)
+    par = table._parity(rows)
+    lo = _snap_up(lo, par)
+    hi = _snap_down(hi, par)
+    if not include_lambda_zero:
+        hi[0] = lo[0] - 2  # row 0 holds lambda = 0 alone
+    if table.symmetric:
+        # the strict box is symmetric too: fold onto j >= 0
+        on_axis = (par == 0) & (lo <= 0) & (hi >= 0)
+        total = 2 * _run_dot(table, rows, 2 - par, hi)
+        axis = np.zeros(int(on_axis.sum()), dtype=np.int64)
+        total += _run_dot(table, rows[on_axis], axis, axis)
+    else:
+        total = _run_dot(table, rows, lo, hi)
 
     c = c_constant(field)
     main = float(c) * float(table.v1) * float(table.v2)
@@ -674,6 +661,16 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
     return out
 
 
+def g_value(res: CorrelationResult, v) -> float:
+    """G(v) = N_D(v, v**(-1/2)) / (C_D sqrt(v)) from the correlation result
+    for that box, for rational v > 1."""
+    v = Fraction(v)
+    if v <= 1:
+        raise OutOfRange("g_ratio needs v > 1")
+    c = Fraction(res.c_num, res.c_den)
+    return res.n_value / (float(c) * sqrt(v))
+
+
 def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
             threads: int = 1, memory_budget: int | None = None) -> float:
     """N_D(v, v**(-1/2)) / (C_D sqrt(v)) for rational v > 1."""
@@ -683,8 +680,7 @@ def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
     res = correlation(field, v, InvSqrtBound(field.d, v),
                       include_lambda_zero=include_lambda_zero,
                       threads=threads, memory_budget=memory_budget)
-    c = Fraction(res.c_num, res.c_den)
-    return res.n_value / (float(c) * sqrt(v))
+    return g_value(res, v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 
+from quadcorr import corrsum
 from quadcorr.cli import main
 
 
@@ -134,6 +135,19 @@ def test_guard_exit_code(capsys):
     code, _, err = run(capsys, "correlate", "--d", "2", "--v1", "4000", "--v2", "4000",
                        "--memory-budget", "1000")
     assert code == 3
+
+
+def test_thin_box_refused_before_row_geometry(capsys, monkeypatch):
+    # about 5e7 rows: the guard must fire before any edge is computed
+    def edge_routine_ran(*args, **kwargs):
+        raise AssertionError("the edge routine ran before the row guard")
+
+    monkeypatch.setattr(corrsum, "_max_j", edge_routine_ran)
+    monkeypatch.delenv("QUADCORR_MEM_BUDGET", raising=False)
+    code, out, err = run(capsys, "correlate", "--d", "2", "--v1", "100000000", "--v2", "1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_oracle_guard_exit_code(capsys):

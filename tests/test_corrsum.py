@@ -2,10 +2,12 @@ import io
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quadcorr import corrsum
 from quadcorr import (
     CapacityExceeded,
     InvSqrtBound,
@@ -21,7 +23,15 @@ from quadcorr import (
     g_ratio,
     r_brute,
 )
+from quadcorr.corrsum import OffsetBound, RationalBound, _doubled, _max_j, _min_j
 from test_repcount import box_lambdas
+
+# one field per class: d = 2, 6 (2 mod 4), 3, 7 (3 mod 4), 5, 13 (5 mod 8), 17, 41 (1 mod 8)
+RING_DS = [2, 6, 3, 7, 5, 13, 17, 41]
+
+
+def _sigma(d):
+    return 2 if d % 4 == 1 else 1
 
 
 def test_table_example_d2():
@@ -242,3 +252,93 @@ def test_correlation_is_sum_of_products(d, v1, v2):
         if lam.cmp(v1) < 0 and lam.conj().cmp(v2) < 0:
             expected += r_brute(field, lam) * r_brute(field, lam + field.one())
     assert correlation(field, v1, v2).n_value == expected
+
+
+@st.composite
+def edge_bounds(draw, d):
+    """A box bound of each kind the table uses, with the hard cases: huge
+    denominators, and V^(-1/2) equal to a lattice point (d V a rational square)."""
+    kind = draw(st.sampled_from(("rational", "wide", "inv_sqrt", "on_lattice")))
+    if kind == "rational":
+        return RationalBound(d, Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 97))))
+    if kind == "wide":
+        den = draw(st.integers(10**9, 10**13))
+        return RationalBound(d, Fraction(draw(st.integers(1, 10**4 * den)), den))
+    if kind == "on_lattice":  # V^(-1/2) = t sqrt(d) / sigma is a lattice point
+        v = Fraction(_sigma(d) ** 2, d * draw(st.integers(1, 60)) ** 2)
+    else:
+        v = draw(st.sampled_from([Fraction(20000), Fraction(1, 2)]) | st.fractions(
+            Fraction(1, 100), 10**6, max_denominator=100))
+    bound = InvSqrtBound(d, v)
+    return OffsetBound(bound, draw(st.integers(1, 3))) if draw(st.booleans()) else bound
+
+
+def _edge_rows(draw):
+    start = draw(st.integers(0, 10**5) | st.integers(2**53, 2**60))  # past 2^53: Python ints
+    return np.arange(start, start + draw(st.integers(1, 40)), dtype=np.int64)
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edges_match_definition(d, strict, data):
+    sigma = _sigma(d)
+    bound = data.draw(edge_bounds(d))
+    rows = _edge_rows(data.draw)
+
+    def ok(i, j):
+        return bound.allows(*_doubled(i, j, sigma), strict)
+
+    c = bound.ceil()  # the row cap rests on it: bound <= c < bound + 1
+    assert not bound.allows(2 * c, 0, True) and bound.allows(2 * c - 2, 0, True)
+
+    for i, hi, lo in zip(rows.tolist(), _max_j(bound, rows, sigma, strict).tolist(),
+                         _min_j(bound, rows, sigma, strict).tolist()):
+        assert ok(i, hi) and not ok(i, hi + 1), (i, hi)
+        assert ok(i, -lo) and not ok(i, -(lo - 1)), (i, lo)
+
+
+def test_int64_isqrt_near_squares():
+    # above 2^52 the float seed of the integer square root can land one off
+    k = np.array([2**26 + 1, 10**9 + 7, 2**31 - 1], dtype=np.int64)
+    x = np.concatenate([k * k - 1, k * k, k * k + 2 * k])
+    assert corrsum._isqrt(x).tolist() == [math.isqrt(v) for v in x.tolist()]
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_strict_and_closed_edges_differ_on_lattice_bound(d):
+    # V^(-1/2) = sqrt(d)/sigma is the lattice point (0, 1), and 1 + V^(-1/2) is (sigma, 1)
+    sigma = _sigma(d)
+    bound = InvSqrtBound(d, Fraction(sigma**2, d))
+    for b, row in ((bound, 0), (OffsetBound(bound, 1), sigma)):
+        rows = np.array([row], dtype=np.int64)
+        assert _max_j(b, rows, sigma, strict=False)[0] == 1
+        assert _max_j(b, rows, sigma, strict=True)[0] == 0
+
+
+@given(st.sampled_from(RING_DS), st.data())
+@settings(max_examples=20, deadline=None)
+@example(d=2, data=None)
+def test_conjugation_swap(d, data):
+    """N(V1, V2) = N(V2, V1): r(lambda^sigma) = r(lambda) and (lambda + 1)^sigma
+    = lambda^sigma + 1, so conjugation maps one box onto the other."""
+    field = field_new(d)
+    if data is None:  # table scale, with V^(-1/2) in the first slot
+        v1, v2 = InvSqrtBound(d, Fraction(20000)), Fraction(20000)
+    else:
+        v1 = data.draw(st.fractions(Fraction(1, 3), 300, max_denominator=7))
+        v2 = data.draw(st.fractions(Fraction(1, 3), 40, max_denominator=7)
+                       | st.builds(lambda v: InvSqrtBound(d, v), st.integers(1, 2000)))
+    assert correlation(field, v1, v2).n_value == correlation(field, v2, v1).n_value
+
+
+def test_cell_overflow_guard(monkeypatch):
+    # each square point adds at most 8 to a cell, so 8 * points bounds every counter
+    field = field_new(2)
+    table = build_rep_table(field, 60, 60)
+    n_pts = len(table._square_points()[0])
+    assert int(table.flat.max()) <= 8 * n_pts
+    monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts)
+    build_rep_table(field, 60, 60)
+    monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts - 1)
+    with pytest.raises(CapacityExceeded):
+        build_rep_table(field, 60, 60)
