@@ -357,16 +357,18 @@ class RepTable:
         one representative per {xi, -xi} pair."""
         d, sigma = self.field.d, self.sigma
         # xi = (A + B sqrt d)/2 with A = B (mod 2), both even unless sigma = 2,
-        # has xi^2 in the cell (sigma (A^2 + d B^2)/4, sigma A B/2), row <= imax
+        # has xi^2 in the cell (sigma (A^2 + d B^2)/4, sigma A B/2), row <= imax;
+        # when A, B > 0 its twin (A - B sqrt d)/2 follows it with -j
         reach = 4 * self.imax // sigma
-        pts = []
-        for A in range(0, isqrt(reach) + 1, 3 - sigma):
-            for B in range(A & 1, isqrt((reach - A * A) // d) + 1, 2):
-                iv, jv = sigma * (A * A + d * B * B) // 4, sigma * A * B // 2
-                pts.append((iv, jv, 2 if A or B else 1))
-                if A and B:
-                    pts.append((iv, -jv, 2))
-        si, sj, sw = np.array(pts, dtype=np.int64).T
+        A, B = np.meshgrid(np.arange(0, isqrt(reach) + 1, 3 - sigma),
+                           np.arange(isqrt(reach // d) + 1), indexing="ij")
+        keep = ((A - B) % 2 == 0) & (A * A + d * B * B <= reach)
+        A, B = A[keep], B[keep]
+        twin = (A > 0) & (B > 0)
+        si = np.repeat(sigma * (A * A + d * B * B) // 4, 1 + twin)
+        sj = np.repeat(sigma * A * B // 2, 1 + twin)
+        sj[np.cumsum(1 + twin)[twin] - 1] *= -1
+        sw = np.where(si > 0, 2, 1)
         inside = (self.jlo_full[si] <= sj) & (sj <= self.jhi_full[si])
         return si[inside], sj[inside], sw[inside]
 
