@@ -178,8 +178,7 @@ def _cmd_correlate(args) -> int:
         # large table allocation
         oracle = correlation_group_oracle(field, args.v1, args.v2,
                                           include_lambda_zero=include)
-    table = build_rep_table(field, args.v1, args.v2, threads=args.threads,
-                            memory_budget=args.memory_budget)
+    table = build_rep_table(field, args.v1, args.v2, memory_budget=args.memory_budget)
     res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include)
     payload = res.to_json_dict()
     lines = [
@@ -208,7 +207,7 @@ def _cmd_table_f(args) -> int:
         checkpoints = [x for x in range(5000, args.xmax + 1, 5000)] or [args.xmax]
     include = not args.exclude_lambda_zero
     points = f_deviation(field, args.xmax, checkpoints, include_lambda_zero=include,
-                         threads=args.threads, memory_budget=args.memory_budget)
+                         memory_budget=args.memory_budget)
     rows = [["x", "F", "F_inclusive"]]
     body = []
     lines = []
@@ -232,8 +231,7 @@ def _cmd_table_g(args) -> int:
     rows = [["v", "n_value", "g"]]
     for v in vs:
         res = correlation(field, v, InvSqrtBound(field.d, Fraction(v)),
-                          include_lambda_zero=include, threads=args.threads,
-                          memory_budget=args.memory_budget)
+                          include_lambda_zero=include, memory_budget=args.memory_budget)
         g = g_value(res, v)
         body.append({"v": _frac_str(Fraction(v)), "n_value": res.n_value, "g": g})
         rows.append([_frac_str(Fraction(v)), res.n_value, f"{g:.6f}"])
@@ -260,7 +258,7 @@ def _cmd_table_c(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = run_verification(dmax=args.dmax, box=args.box, corr_limit=args.corr_limit,
-                              samples=args.samples, threads=max(2, args.threads))
+                              samples=args.samples)
     all_passed = all(c.passed for c in checks)
     payload = {
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
@@ -277,7 +275,6 @@ def _cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--memory-budget", type=int, default=None,
                         help="table memory budget in bytes (env QUADCORR_MEM_BUDGET)")
 

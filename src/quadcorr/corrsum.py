@@ -20,14 +20,14 @@ isqrt(R^2 // (m^2 d)) with its sign restored, evaluated over all rows at once
 as numpy arrays (int64 where the magnitudes provably fit, Python ints
 otherwise). An irrational bound such as V^(-1/2) is bracketed between two
 rationals a/m and (a+1)/m; the rare rows where the two ends disagree are
-settled by the exact predicate. Floats only seed the integer square root.
+settled by the exact predicate. Floats only seed the integer square root and
+carry integer sums kept below 2^53, where they are exact.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -45,8 +45,16 @@ ORACLE_QUADRUPLE_LIMIT = 10_000_000
 # largest value of an int32 table cell
 _CELL_LIMIT = 2**31 - 1
 # bytes per row: the row metadata (48) plus the peak of an int64 edge pass
-# over all rows (measured at most 96; the Python-int path takes more)
+# over all rows (measured at most 96)
 _ROW_BYTES = 160
+# bytes per row when the edges need Python ints: the peak of the table build
+# and its strict edge pass, measured under tracemalloc at most 214 plus 12 per
+# 30-bit digit of the largest |R| (d in {2, 3, 5, 7, 13, 17}, denominators
+# 10^9 to 10^400)
+_WIDE_ROW_BYTES = 240
+_DIGIT_BYTES = 12
+# cells per band of correlation_grid
+_BAND_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +225,25 @@ def _floor_div_sqrt(r: np.ndarray, m: int, d: int, strict: bool) -> np.ndarray:
     return np.where(r > 0, q, np.where(r < 0, -q - 1, -1 if strict else 0))
 
 
+def _edge_plan(bound: Bound, imax: int, sigma: int) -> tuple[int, int, bool, int]:
+    """(a, m, exact, digits) for the edges of rows |i| <= imax: the bracket a/m
+    of sigma*bound from bound.bracket, and digits 0 when the edges fit int64,
+    else the 30-bit digits of the largest |R| that Python ints must hold."""
+    root = isqrt(bound.d) + 1
+    reach = imax + sigma * abs(bound.ceil()) + 2
+    a, m, exact = bound.bracket(sigma, _I64_ROOT // (reach * root) or _WIDE_SCALE)
+    top = abs(a) + 1 + m * reach
+    wide = top > _I64_ROOT or m * root > _I64_ROOT
+    return a, m, exact, top.bit_length() // 30 + 1 if wide else 0
+
+
 def _max_j(bound: Bound, i: np.ndarray, sigma: int, strict: bool) -> np.ndarray:
     """Largest j with bound >= (i + j sqrt d)/sigma (or > when strict), for
     every row of the integer array i at once."""
     d = bound.d
-    root = isqrt(d) + 1
-    reach = int(np.abs(i).max(initial=0)) + sigma * abs(bound.ceil()) + 2
-    a, m, exact = bound.bracket(sigma, _I64_ROOT // (reach * root) or _WIDE_SCALE)
-    wide = abs(a) + 1 + m * reach > _I64_ROOT or m * root > _I64_ROOT
+    a, m, exact, digits = _edge_plan(bound, int(np.abs(i).max(initial=0)), sigma)
     # j m sqrt(d) <= R with R = a - m i, at the lower end of the bracket
-    r = a - m * i.astype(object if wide else np.int64)
+    r = a - m * i.astype(object if digits else np.int64)
     j = _floor_div_sqrt(r, m, d, strict)
     if not exact:
         upper = _floor_div_sqrt(r + 1, m, d, strict)
@@ -274,7 +291,7 @@ class RepTable:
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
-                 threads: int = 1, memory_budget: int | None = None):
+                 memory_budget: int | None = None):
         self.field = field
         self.sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
         self.v1 = make_bound(field, v1)
@@ -298,11 +315,14 @@ class RepTable:
         # bound the rows before any row array exists: 2i/sigma = lambda +
         # lambda^sigma <= b1 + b2; _compute_rows trims it to the last filled row
         self.imax = self.sigma * (self.b1.ceil() + self.b2.ceil()) // 2
+        # the row cap bounds every later edge pass, so it also fixes their path
+        digits = max(_edge_plan(b, self.imax, self.sigma)[3] for b in (self.b1, self.b2))
+        self.row_bytes = _WIDE_ROW_BYTES + _DIGIT_BYTES * digits if digits else _ROW_BYTES
         self.cells = 0
-        self._check_budget(threads, memory_budget)
+        self._check_budget(memory_budget)
         self._compute_rows()
-        self._check_budget(threads, memory_budget)
-        self._build(max(1, threads))
+        self._check_budget(memory_budget)
+        self._build()
 
     # -- geometry ---------------------------------------------------------
 
@@ -339,15 +359,14 @@ class RepTable:
         np.cumsum(self.klen, out=self.row_start[1:])
         self.cells = int(self.row_start[-1])
 
-    def _check_budget(self, threads: int, memory_budget: int | None) -> None:
+    def _check_budget(self, memory_budget: int | None) -> None:
         budget = _memory_budget(memory_budget)
-        copies = 1 + (threads if threads > 1 else 0)
         rows = self.imax + 1
-        need = self.cells * 4 * copies + rows * _ROW_BYTES
+        need = self.cells * 4 + rows * self.row_bytes
         if need > budget:
             raise CapacityExceeded(
-                f"table needs about {need} bytes ({rows} rows, {self.cells} cells, "
-                f"{copies} copies) against a budget of {budget}"
+                f"table needs about {need} bytes ({rows} rows, {self.cells} cells) "
+                f"against a budget of {budget}"
             )
 
     # -- population -------------------------------------------------------
@@ -372,52 +391,36 @@ class RepTable:
         inside = (self.jlo_full[si] <= sj) & (sj <= self.jhi_full[si])
         return si[inside], sj[inside], sw[inside]
 
-    def _build(self, threads: int) -> None:
+    def _build(self) -> None:
         si, sj, sw = self._square_points()
         n_pts = len(si)
         # for a fixed t the partners hit distinct cells, adding at most 8 to each
         if 8 * n_pts > _CELL_LIMIT:
             raise CapacityExceeded(f"{n_pts} square points could overflow 32-bit cell counters")
+        order = np.lexsort((sj, si))
+        si, sj, sw = si[order], sj[order], sw[order].astype(np.int32)
+        # partners s >= t of t with si[s] + si[t] <= imax are s in [t, cut[t])
+        cut = np.searchsorted(si, self.imax - si, side="right")
+        y0, yhi, off = self.y0, self.yhi, self._offsets()
         flat = np.zeros(self.cells, dtype=np.int32)
-
-        def accumulate(target: np.ndarray, lo: int, hi: int) -> None:
-            for t in range(lo, hi):
-                ii = si[t] + si[t:]
-                jj = sj[t] + sj[t:]
-                ww = sw[t] * sw[t:]
-                ww = ww * 2
-                ww[0] //= 2
-                mask = ii <= self.imax
-                ii = ii[mask]
-                jj = jj[mask]
-                ww = ww[mask]
-                lo_ok = jj >= self.y0[ii]
-                hi_ok = jj <= self.yhi[ii]
-                mask2 = lo_ok & hi_ok
-                ii = ii[mask2]
-                jj = jj[mask2]
-                ww = ww[mask2]
-                idx = self.row_start[ii] + ((jj - self.y0[ii]) >> 1)
-                np.add.at(target, idx, ww.astype(np.int32))
-
-        if threads <= 1 or n_pts < 64:
-            accumulate(flat, 0, n_pts)
-        else:
-            partials = [np.zeros(self.cells, dtype=np.int32) for _ in range(threads)]
-            bounds = [round(k * n_pts / threads) for k in range(threads + 1)]
-            workers = [
-                threading.Thread(target=accumulate, args=(partials[k], bounds[k], bounds[k + 1]))
-                for k in range(threads)
-            ]
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-            for part in partials:  # fixed order: the merge is associative anyway
-                flat += part
+        for t in range(int(np.count_nonzero(cut > np.arange(n_pts)))):
+            c = int(cut[t])
+            ii = si[t:c] + si[t]
+            jj = sj[t:c] + sj[t]
+            keep = np.flatnonzero((jj >= y0[ii]) & (jj <= yhi[ii]))
+            ww = sw[t:c][keep] * (2 * sw[t])
+            if len(keep) and keep[0] == 0:
+                ww[0] //= 2  # s = t is one ordered pair, not two
+            # s -> xi_t^2 + xi_s^2 is a translation and the xi_s^2 are distinct,
+            # so the cells of one t are distinct and a plain scatter-add is exact
+            flat[(off[ii[keep]] + jj[keep]) >> 1] += ww
         self.flat = flat
 
     # -- access -----------------------------------------------------------
+
+    def _offsets(self) -> np.ndarray:
+        """off with the cell (i, j) of a stored row i at flat[(off[i] + j) >> 1]."""
+        return 2 * self.row_start[:-1] - self.y0
 
     def contains(self, i: int, j: int) -> bool:
         return 0 <= i <= self.imax and bool(self.jlo_full[i] <= j <= self.jhi_full[i])
@@ -445,9 +448,6 @@ class RepTable:
             raise OutOfRange("non-integral coordinates")
         return self.lookup(p // 2, q // 2)
 
-    def nbytes(self) -> int:
-        return int(self.flat.nbytes)
-
     def write_csv(self, stream) -> None:
         """Full window as CSV: metadata line, header, one row per cell."""
         doubled = 1 if self.sigma == 2 else 0
@@ -463,10 +463,9 @@ class RepTable:
 
 
 def build_rep_table(field: FieldData, v1, v2, *, symmetric: bool | None = None,
-                    threads: int = 1, memory_budget: int | None = None) -> RepTable:
+                    memory_budget: int | None = None) -> RepTable:
     """Populate the r-value table for the extended box (v1+1, v2+1)."""
-    return RepTable(field, v1, v2, symmetric=symmetric, threads=threads,
-                    memory_budget=memory_budget)
+    return RepTable(field, v1, v2, symmetric=symmetric, memory_budget=memory_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +525,11 @@ def _run_dot(table: RepTable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) 
 
 def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
                 include_lambda_zero: bool = True, symmetric: bool | None = None,
-                threads: int = 1, memory_budget: int | None = None) -> CorrelationResult:
+                memory_budget: int | None = None) -> CorrelationResult:
     """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box."""
     if table is None:
         table = build_rep_table(field, v1, v2, symmetric=symmetric,
-                                threads=threads, memory_budget=memory_budget)
+                                memory_budget=memory_budget)
     else:
         want1 = make_bound(field, v1).describe()
         want2 = make_bound(field, v2).describe()
@@ -573,49 +572,57 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
 
 
 def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool = True,
-                     symmetric: bool | None = True, threads: int = 1,
-                     memory_budget: int | None = None,
+                     symmetric: bool | None = True, memory_budget: int | None = None,
                      table: RepTable | None = None) -> np.ndarray:
     """N_D(V, V) for every integer V = 0..xmax, as one int64 array.
 
     Cells are bucketed by the first integer V that contains them, which is
     floor(max(lambda, lambda^sigma)) + 1, and the buckets are prefix-summed.
+    The table is walked in bands of _BAND_CELLS cells, so the temporaries
+    stay small next to the table.
     """
     if xmax < 0:
         raise OutOfRange("xmax must be >= 0")
     if table is None:
         table = build_rep_table(field, xmax, xmax, symmetric=symmetric,
-                                threads=threads, memory_budget=memory_budget)
+                                memory_budget=memory_budget)
     sigma = table.sigma
-    d = field.d
+    flat, y0, yhi, row_start = table.flat, table.y0, table.yhi, table.row_start
+    off = table._offsets()
     buckets = np.zeros(xmax + 2, dtype=np.int64)
 
-    jabs_max = int(max(int(table.yhi.max(initial=0)), -int(table.y0.min(initial=0))))
-    fl = np.array([isqrt(j * j * d) for j in range(jabs_max + 1)], dtype=np.int64)
+    # fl[|j|] = floor(|j| sqrt d), so max(lambda, lambda^sigma) = (i + fl[|j|]) / sigma
+    jabs_max = int(max(int(yhi.max(initial=0)), -int(y0.min(initial=0))))
+    wide = jabs_max * jabs_max * field.d >= 1 << 62
+    jabs = np.arange(jabs_max + 1, dtype=object if wide else np.int64)
+    fl = _isqrt(jabs * jabs * field.d).astype(np.int64)
 
-    for i in range(table.imax + 1):
-        if i == 0 and not include_lambda_zero:
-            continue
-        kl = int(table.klen[i])
-        if kl == 0:
-            continue
+    # rows past imax - sigma have no lambda + 1 row; all their cells exceed the grid
+    start = int(row_start[0 if include_lambda_zero else 1])
+    stop = int(row_start[max(table.imax - sigma + 1, 0)])
+    for a in range(start, stop, _BAND_CELLS):
+        b = min(a + _BAND_CELLS, stop)
+        k = a + np.flatnonzero(flat[a:b])
+        # the band's rows are r..r_end - 1; find each cell's row among them
+        r = int(np.searchsorted(row_start, a, side="right")) - 1
+        r_end = int(np.searchsorted(row_start, b - 1, side="right"))
+        i = r - 1 + np.searchsorted(row_start[r:r_end], k, side="right")
+        j = 2 * k - off[i]
+        v = (i + fl[np.abs(j)]) // sigma + 1
         i2 = i + sigma
-        if i2 > table.imax:
-            continue  # all such cells exceed the strict grid
-        js = int(table.y0[i]) + 2 * np.arange(kl, dtype=np.int64)
-        vstar = (i + fl[np.abs(js)]) // sigma + 1
-        mask = vstar <= xmax
-        mask &= (js >= table.y0[i2]) & (js <= table.yhi[i2])
-        if not mask.any():
+        keep = np.flatnonzero((v <= xmax) & (j >= y0[i2]) & (j <= yhi[i2]))
+        if not len(keep):
             continue
-        js_m = js[mask]
-        r1 = table.flat[table.row_start[i]: table.row_start[i] + kl][mask].astype(np.int64)
-        k2 = table.row_start[i2] + ((js_m - table.y0[i2]) >> 1)
-        r2 = table.flat[k2].astype(np.int64)
-        prods = r1 * r2
+        k, i2, j, v = k[keep], i2[keep], j[keep], v[keep]
+        prods = flat[k].astype(np.int64) * flat[(off[i2] + j) >> 1]
         if table.symmetric:
-            prods = np.where(js_m > 0, 2 * prods, prods)
-        np.add.at(buckets, vstar[mask], prods)
+            prods <<= j > 0  # the mirror cell -j is not stored
+        # bincount sums in float64, exact below 2^53: split each product at
+        # bit 26, so each part summed over at most 2^14 cells stays below 2^51
+        v0 = int(v.min())
+        lo = np.bincount(v - v0, weights=prods & ((1 << 26) - 1)).astype(np.int64)
+        hi = np.bincount(v - v0, weights=prods >> 26).astype(np.int64)
+        buckets[v0:v0 + len(lo)] += lo + (hi << 26)
 
     return np.cumsum(buckets)[: xmax + 1]
 
@@ -631,7 +638,7 @@ class FCheckpoint:
 
 
 def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = None,
-                *, include_lambda_zero: bool = True, threads: int = 1,
+                *, include_lambda_zero: bool = True,
                 memory_budget: int | None = None) -> list[FCheckpoint]:
     """Deviation suprema on the integer grid V in {1, ..., xmax}."""
     if xmax < 1:
@@ -641,7 +648,7 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
     if any(c < 1 or c > xmax for c in checkpoints):
         raise OutOfRange("checkpoints must lie in [1, xmax]")
     grid = correlation_grid(field, xmax, include_lambda_zero=include_lambda_zero,
-                            threads=threads, memory_budget=memory_budget)
+                            memory_budget=memory_budget)
     c = c_constant(field)
     num, den = c.numerator, c.denominator
     dev = [0] * (xmax + 1)
@@ -674,14 +681,13 @@ def g_value(res: CorrelationResult, v) -> float:
 
 
 def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
-            threads: int = 1, memory_budget: int | None = None) -> float:
+            memory_budget: int | None = None) -> float:
     """N_D(v, v**(-1/2)) / (C_D sqrt(v)) for rational v > 1."""
     v = Fraction(v)
     if v <= 1:
         raise OutOfRange("g_ratio needs v > 1")
     res = correlation(field, v, InvSqrtBound(field.d, v),
-                      include_lambda_zero=include_lambda_zero,
-                      threads=threads, memory_budget=memory_budget)
+                      include_lambda_zero=include_lambda_zero, memory_budget=memory_budget)
     return g_value(res, v)
 
 

@@ -291,10 +291,6 @@ class QuadInt:
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
-    def xy(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (x, y) with lambda = x + y*sqrt(d), as exact rationals."""
-        return Fraction(self.p, 2), Fraction(self.q, 2)
-
     def __repr__(self) -> str:
         return f"QuadInt(d={self.field.d}, ({self.p}{self.q:+}*sqrt{self.field.d})/2)"
 

@@ -6,8 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._chartable import check_squarefree
 from .character import c_constant, covolume, index_gamma, kronecker
 from .corrsum import build_rep_table, correlation, correlation_group_oracle
+from .errors import NotSquarefree
 from .hilbertgroup import (
     coset_bfs,
     equivalent,
@@ -28,21 +30,6 @@ class CheckResult:
     detail: str
 
 
-def _squarefree_ds(limit: int) -> list[int]:
-    out = []
-    for d in range(2, limit + 1):
-        k = 2
-        sf = True
-        while k * k <= d:
-            if d % (k * k) == 0:
-                sf = False
-                break
-            k += 1
-        if sf:
-            out.append(d)
-    return out
-
-
 def _lattice_points(field, box: int):
     """All lambda with 0 <= lambda < box, 0 <= conj < box."""
     sigma = 2 if field.d % 4 == 1 else 1
@@ -59,8 +46,8 @@ def _lattice_points(field, box: int):
 
 
 def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
-                     samples: int = 300, fields: tuple[int, ...] = (2, 3, 5, 13, 17),
-                     threads: int = 1) -> list[CheckResult]:
+                     samples: int = 300,
+                     fields: tuple[int, ...] = (2, 3, 5, 13, 17)) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:
@@ -68,7 +55,11 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
 
     # character sums and the C_D bounds
     bad = []
-    for d in _squarefree_ds(dmax):
+    for d in range(2, dmax + 1):
+        try:
+            check_squarefree(d)
+        except NotSquarefree:
+            continue
         f = field_new(d)
         c = c_constant(f)
         delta = f.delta
@@ -83,7 +74,11 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
 
     # chi table versus the scalar Kronecker routine
     bad = []
-    for d in _squarefree_ds(40):
+    for d in range(2, 41):
+        try:
+            check_squarefree(d)
+        except NotSquarefree:
+            continue
         f = field_new(d)
         for n in range(1, f.delta + 1):
             if f.chi(n) != kronecker(f.delta, n):
@@ -168,10 +163,10 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
             bad.append(d)
     add("gamma0-conjugation", not bad, f"offenders: {bad}")
 
-    # determinism under threading
+    # the symmetric table layout against full storage
     f2 = field_new(2)
-    base = correlation(f2, 300, 300, threads=1).n_value
-    alt = correlation(f2, 300, 300, threads=max(2, threads)).n_value
-    add("thread-determinism", base == alt, f"{base} vs {alt}")
+    base = correlation(f2, 300, 300, symmetric=True).n_value
+    alt = correlation(f2, 300, 300, symmetric=False).n_value
+    add("storage-determinism", base == alt, f"symmetric {base} vs full {alt}")
 
     return results

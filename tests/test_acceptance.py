@@ -212,14 +212,3 @@ def test_criterion_10_u_identity():
     elapsed = time.time() - start
     assert elapsed < 10.0
     report(10, "u-identity", elapsed, f"{total} matrices, worst rel err {worst:.2e}")
-
-
-def test_criterion_11_thread_determinism():
-    start = time.time()
-    field = field_new(2)
-    results = {
-        t: correlation(field, 2000, 2000, threads=t).n_value for t in (1, 4, 16)
-    }
-    assert len(set(results.values())) == 1, results
-    elapsed = time.time() - start
-    report(11, "parallel determinism", elapsed, str(results))

@@ -168,16 +168,6 @@ def test_csv_format(capsys):
     assert out.splitlines() == ["d,c", "2,8", "3,4"]
 
 
-def test_output_deterministic_across_threads(capsys):
-    outputs = set()
-    for t in ("1", "2", "5"):
-        code, out, _ = run(capsys, "correlate", "--d", "2", "--v1", "150",
-                           "--v2", "150", "--threads", t, "--format", "json")
-        assert code == 0
-        outputs.add(out)
-    assert len(outputs) == 1
-
-
 def test_verify_quick(capsys):
     code, payload, _ = run_json(capsys, "verify", "--dmax", "30", "--box", "5",
                                 "--corr-limit", "3", "--samples", "40")

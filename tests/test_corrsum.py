@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -133,13 +134,6 @@ def test_symmetric_storage_equals_full(d):
 def test_symmetric_requires_equal_bounds():
     with pytest.raises(OutOfRange):
         build_rep_table(field_new(2), 3, 4, symmetric=True)
-
-
-def test_thread_determinism_small():
-    f2 = field_new(2)
-    base = correlation(f2, 200, 200, threads=1).n_value
-    assert correlation(f2, 200, 200, threads=3).n_value == base
-    assert correlation(f2, 200, 200, threads=8).n_value == base
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -342,3 +336,97 @@ def test_cell_overflow_guard(monkeypatch):
     monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts - 1)
     with pytest.raises(CapacityExceeded):
         build_rep_table(field, 60, 60)
+
+
+def test_wide_edge_rows_charged_before_the_work():
+    # a large denominator puts the row edges on Python ints, which cost more
+    # per row than the int64 path; the guard must charge that before any row exists
+    field = field_new(2)
+    v1, v2 = Fraction(1, 10**9 + 7), Fraction(30000)
+    correlation(field, v1, v2)  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        correlation(field, v1, v2)
+        need = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(CapacityExceeded):
+        build_rep_table(field, v1, v2, memory_budget=need - 1)
+    build_rep_table(field, v1, v2, memory_budget=2 * need)
+
+
+def _reference_flat(table):
+    """The accumulation the table kernel replaced: per square point, masks
+    and np.add.at over every partner s >= t."""
+    si, sj, sw = table._square_points()
+    flat = np.zeros(table.cells, dtype=np.int32)
+    for t in range(len(si)):
+        ii, jj = si[t] + si[t:], sj[t] + sj[t:]
+        ww = 2 * sw[t] * sw[t:]
+        ww[0] //= 2
+        keep = ii <= table.imax
+        ii, jj, ww = ii[keep], jj[keep], ww[keep]
+        keep = (jj >= table.y0[ii]) & (jj <= table.yhi[ii])
+        ii, jj, ww = ii[keep], jj[keep], ww[keep]
+        np.add.at(flat, table.row_start[ii] + ((jj - table.y0[ii]) >> 1), ww)
+    return flat
+
+
+def _box_bound(d):
+    """A non-integer rational bound or a V^(-1/2) bound."""
+    return (st.fractions(Fraction(1, 3), 60, max_denominator=7)
+            | st.builds(lambda v: InvSqrtBound(d, v), st.integers(1, 3000)))
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+@example(d=2, symmetric=True, data=None)
+def test_build_matches_reference_accumulation(d, symmetric, data):
+    field = field_new(d)
+    if data is None:  # table scale
+        v1 = v2 = Fraction(3001, 2)
+    elif symmetric:
+        v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
+    else:
+        v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
+    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    assert (table.flat == _reference_flat(table)).all()
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_table_matches_brute_force_per_cell(d):
+    # every stored cell of a small full table, against a direct count
+    field = field_new(d)
+    table = build_rep_table(field, Fraction(9, 2), InvSqrtBound(d, Fraction(1, 3)),
+                            symmetric=False)
+    sigma = _sigma(d)
+    for i in range(table.imax + 1):
+        for j in range(int(table.jlo_full[i]), int(table.jhi_full[i]) + 1):
+            if (i - j) % 2 and sigma == 2:
+                continue
+            lam = field.element(i, j) if sigma == 2 else field.from_xy(i, j)
+            assert table.lookup(i, j) == r_brute(field, lam), (i, j)
+
+
+@given(st.sampled_from(RING_DS), st.integers(1, 40), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+@example(d=5, xmax=150, symmetric=True, include_zero=False)
+def test_grid_matches_pointwise(d, xmax, symmetric, include_zero):
+    field = field_new(d)
+    grid = correlation_grid(field, xmax, include_lambda_zero=include_zero,
+                            symmetric=symmetric)
+    for v in range(1, xmax + 1):
+        res = correlation(field, v, v, include_lambda_zero=include_zero)
+        assert grid[v] == res.n_value, (d, v)
+
+
+def test_grid_exact_past_float_precision():
+    # scaling every cell by an odd c scales every product by c^2, here up to
+    # about 2^60 with at most four trailing zero bits, so float64 cannot hold them
+    field = field_new(5)
+    table = build_rep_table(field, 20, 20)
+    plain = correlation_grid(field, 20, table=table)
+    c = 2**25 + 1
+    assert int(table.flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
+    table.flat *= c
+    assert (correlation_grid(field, 20, table=table) == plain * (c * c)).all()
