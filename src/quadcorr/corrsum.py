@@ -399,7 +399,8 @@ class RepTable:
             raise CapacityExceeded(f"{n_pts} square points could overflow 32-bit cell counters")
         order = np.lexsort((sj, si))
         si, sj, sw = si[order], sj[order], sw[order].astype(np.int32)
-        # partners s >= t of t with si[s] + si[t] <= imax are s in [t, cut[t])
+        # the partners s >= t of t that stay within row imax are s in [t, cut[t]);
+        # cut falls as t rises, so the t with any partner come first
         cut = np.searchsorted(si, self.imax - si, side="right")
         y0, yhi, off = self.y0, self.yhi, self._offsets()
         flat = np.zeros(self.cells, dtype=np.int32)
