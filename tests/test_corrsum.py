@@ -411,7 +411,8 @@ def test_table_matches_brute_force_per_cell(d):
 @given(st.sampled_from(RING_DS), st.integers(1, 40), st.booleans(), st.booleans())
 @settings(max_examples=40, deadline=None)
 @example(d=5, xmax=150, symmetric=True, include_zero=False)
-def test_grid_matches_pointwise(d, xmax, symmetric, include_zero):
+def test_grid_matches_pointwise_on_every_ring_class(d, xmax, symmetric,
+                                                    include_zero):
     field = field_new(d)
     grid = correlation_grid(field, xmax, include_lambda_zero=include_zero,
                             symmetric=symmetric)
@@ -421,8 +422,8 @@ def test_grid_matches_pointwise(d, xmax, symmetric, include_zero):
 
 
 def test_grid_exact_past_float_precision():
-    # scaling every cell by an odd c scales every product by c^2, here up to
-    # about 2^60 with at most four trailing zero bits, so float64 cannot hold them
+    # scaling every cell by an odd c multiplies every product by c^2; the
+    # products then reach about 2^60, where float64 sums drop low bits
     field = field_new(5)
     table = build_rep_table(field, 20, 20)
     plain = correlation_grid(field, 20, table=table)
