@@ -5,6 +5,7 @@ with text, JSON and CSV output. Exit codes: 0 success, 2 validation error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .hilbertgroup import coset_bfs
 from .quadfield import field_new
-from .repcount import r_brute, r_sym
+from .repcount import RCOUNT_STEP_LIMIT, enumeration_steps, r_brute, r_sym
 from .selfcheck import run_verification
 
 C_TABLE_DS = [2, 3, 5, 6, 7, 101, 1001, 10001, 100001, 1000001]
@@ -155,12 +156,14 @@ def _cmd_cosets(args) -> int:
 
 def _cmd_rcount(args) -> int:
     field = field_new(args.d)
-    x = Fraction(args.x)
-    y = Fraction(args.y)
+    x, y = args.x, args.y
     p, q = 2 * x, 2 * y
     if p.denominator != 1 or q.denominator != 1:
         raise OutOfRange("coordinates must be integers or half-integers")
     lam = field.element(int(p), int(q))
+    steps = enumeration_steps(field, lam)
+    if steps > RCOUNT_STEP_LIMIT:
+        raise ScaleGuard(f"estimated enumeration {steps} exceeds {RCOUNT_STEP_LIMIT} steps")
     brute = r_brute(field, lam)
     sym = r_sym(field, lam)
     payload = {"d": args.d, "x": str(x), "y": str(y), "r_brute": brute, "r_sym": sym,
@@ -272,7 +275,10 @@ def _cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    so every call of main reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--memory-budget", type=int, default=None,
@@ -317,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rcount", "r(lambda) by both methods")
     add_d(p)
-    p.add_argument("--x", type=str, required=True, help="rational part (may be half-integral)")
-    p.add_argument("--y", type=str, default="0", help="sqrt(d) coefficient")
+    p.add_argument("--x", type=_fraction, required=True,
+                   help="rational part (may be half-integral)")
+    p.add_argument("--y", type=_fraction, default="0", help="sqrt(d) coefficient")
     p.set_defaults(func=_cmd_rcount)
 
     p = add("correlate", "N_D(V1, V2)")
@@ -358,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _GUARD_ERRORS as exc:

@@ -267,6 +267,33 @@ def _snap_down(j: int, parity: int) -> int:
     return j - ((j - parity) % 2)
 
 
+# sqrt(d) is bracketed as s/_SQRT_SCALE <= sqrt(d) < (s + 1)/_SQRT_SCALE
+_SQRT_SCALE = 1 << 32
+
+
+def _min_cells(b1: Bound, b2: Bound, sigma: int, symmetric: bool) -> int:
+    """A lower bound, in exact integers, on the cells of the closed window
+    (b1, b2), from its area and before any row is computed.
+
+    In the trace coordinates (i, j) the window is a parallelogram of area
+    (sigma b1)(sigma b2) / (2 sqrt d), and row i holds the j of one parity
+    in an interval of length l(i), so at least l(i)/2 - 1 cells. l is
+    concave, so its sum over the rows falls short of the area by at most
+    its maximum, sigma (b1 + b2) / (2 sqrt d). Symmetric storage keeps at
+    least half of the cells.
+    """
+    s = isqrt(b1.d * _SQRT_SCALE * _SQRT_SCALE)
+    a1, m1, _ = b1.bracket(sigma, _SQRT_SCALE)
+    a2, m2, _ = b2.bracket(sigma, _SQRT_SCALE)
+    c1, c2 = b1.ceil(), b2.ceil()
+    # half the area rounded down, half the peak rounded up, one per row
+    half_area = max(a1, 0) * max(a2, 0) * _SQRT_SCALE // (4 * m1 * m2 * (s + 1))
+    half_peak = -(-sigma * (c1 + c2) * _SQRT_SCALE // (4 * s))
+    rows = sigma * (c1 + c2) // 2 + 1
+    full = max(half_area - half_peak - rows, 0)
+    return full // 2 if symmetric else full
+
+
 def _memory_budget(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
@@ -320,6 +347,8 @@ class RepTable:
         self.row_bytes = _WIDE_ROW_BYTES + _DIGIT_BYTES * digits if digits else _ROW_BYTES
         self.cells = 0
         self._check_budget(memory_budget)
+        # a refusal the cells alone force needs no row pass
+        self._check_budget(memory_budget, _min_cells(self.b1, self.b2, self.sigma, symmetric))
         self._compute_rows()
         self._check_budget(memory_budget)
         self._build()
@@ -359,15 +388,19 @@ class RepTable:
         np.cumsum(self.klen, out=self.row_start[1:])
         self.cells = int(self.row_start[-1])
 
-    def _check_budget(self, memory_budget: int | None) -> None:
+    def _check_budget(self, memory_budget: int | None, min_cells: int | None = None) -> None:
+        """Refuse when the rows and cells known so far, or min_cells cells
+        alone when given, need more than the budget."""
         budget = _memory_budget(memory_budget)
-        rows = self.imax + 1
-        need = self.cells * 4 + rows * self.row_bytes
+        if min_cells is not None:
+            need = min_cells * 4
+            what = f"at least {need} bytes (at least {min_cells} cells)"
+        else:
+            rows = self.imax + 1
+            need = self.cells * 4 + rows * self.row_bytes
+            what = f"about {need} bytes ({rows} rows, {self.cells} cells)"
         if need > budget:
-            raise CapacityExceeded(
-                f"table needs about {need} bytes ({rows} rows, {self.cells} cells) "
-                f"against a budget of {budget}"
-            )
+            raise CapacityExceeded(f"table needs {what} against a budget of {budget}")
 
     # -- population -------------------------------------------------------
 
@@ -703,9 +736,12 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     g3^2 + g4^2 + 1 and g3^2 + g4^2 in the half-open box.
 
     This enumerates the matrix set behind the correlation identity point by
-    point, so it must return exactly correlation(...).n_value. Only usable
-    on small boxes; raises ScaleGuard beyond roughly 1e7 quadruples worth
-    of work.
+    point, so it must return exactly correlation(...).n_value. Every
+    quadruple (c1, c2, e1, e2) is still visited and counted one by one; what
+    depends only on lambda = g3^2 + g4^2 (the box test, the lambda = 0
+    convention and r(lambda + 1) by direct enumeration) is decided once per
+    lambda and shared by its r(lambda) quadruples. Only usable on small
+    boxes; raises ScaleGuard beyond roughly 1e7 quadruples worth of work.
     """
     b1 = make_bound(field, v1)
     b2 = make_bound(field, v2)
@@ -722,17 +758,17 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     if est > ORACLE_QUADRUPLE_LIMIT:
         raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
 
-    cache: dict[tuple[int, int], int] = {}
+    # weight of lambda = (P + Q sqrt d)/2: r(lambda + 1) inside the box, else 0
+    weights: dict[tuple[int, int], int] = {}
     total = 0
 
-    def bump(P: int, Q: int) -> int:
-        lam_next = field.element(P + 2, Q)
-        key = (P + 2, Q)
-        r = cache.get(key)
-        if r is None:
-            r = r_brute(field, lam_next)
-            cache[key] = r
-        return r
+    def weight(P: int, Q: int) -> int:
+        if not include_lambda_zero and P == 0 and Q == 0:
+            return 0
+        # box: lambda >= 0 (automatic), strict upper bounds
+        if not (b1.allows(P, Q, True) and b2.allows(P, -Q, True)):
+            return 0
+        return r_brute(field, field.element(P + 2, Q))
 
     m1 = isqrt(smax)
     c1_range = range(-m1, m1 + 1) if one else range(-(m1 - m1 % 2), m1 + 1, 2)
@@ -755,14 +791,10 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
                 m4 = isqrt(s3 // d)
                 e2_start = (e1 & 1) if one else 0
                 for e2 in range(-(m4 - ((m4 - e2_start) % 2)), m4 + 1, 2):
-                    P = (c1 * c1 + d * c2 * c2 + e1 * e1 + d * e2 * e2) // 2
-                    Q = c1 * c2 + e1 * e2
-                    if not include_lambda_zero and P == 0 and Q == 0:
-                        continue
-                    # box: lambda >= 0 (automatic), strict upper bounds
-                    if not b1.allows(P, Q, True):
-                        continue
-                    if not b2.allows(P, -Q, True):
-                        continue
-                    total += bump(P, Q)
+                    key = ((c1 * c1 + d * c2 * c2 + e1 * e1 + d * e2 * e2) // 2,
+                           c1 * c2 + e1 * e2)
+                    w = weights.get(key)
+                    if w is None:
+                        w = weights[key] = weight(*key)
+                    total += w
     return total

@@ -20,6 +20,9 @@ from math import isqrt
 
 from .quadfield import FieldData, QuadInt, RingClass, sign_quad
 
+# largest enumeration_steps the rcount command runs, about two seconds
+RCOUNT_STEP_LIMIT = 10_000_000
+
 
 def _signed_range(maxabs: int, even_only: bool, parity: int = 0):
     """Integers in [-maxabs, maxabs]; restricted to one parity class."""
@@ -78,6 +81,19 @@ def _solutions_doubled(field: FieldData, lam: QuadInt) -> list[tuple[int, int, i
                             out.append((A, B, 0, e))
                             out.append((A, B, 0, -e))
     return out
+
+
+def enumeration_steps(field: FieldData, lam: QuadInt) -> int:
+    """About how many (A, B, C) triples r_brute visits for lam, in exact
+    integers: the lattice points of the ellipsoid A^2 + d B^2 + C^2 <= S
+    (volume 4 pi/3 S^(3/2) / sqrt(d)), counted as 4 (isqrt(S) + 1)^3 /
+    sqrt(d) and divided by the parity classes, 2 when half coordinates
+    exist, else 8. r_sym visits fewer."""
+    if not _totally_nonnegative(lam):
+        return 0
+    root = isqrt(2 * lam.p) + 1
+    classes = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 8
+    return isqrt(16 * root**6 // field.d) // classes
 
 
 def two_square_solutions(field: FieldData, lam: QuadInt) -> list[tuple[QuadInt, QuadInt]]:

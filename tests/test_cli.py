@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import time
 
-from quadcorr import corrsum
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadcorr import cli, corrsum
 from quadcorr.cli import main
 
 
@@ -173,3 +180,117 @@ def test_verify_quick(capsys):
                                 "--corr-limit", "3", "--samples", "40")
     assert code == 0
     assert payload["all_passed"] is True
+
+
+def test_rcount_scale_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rcount", "--d", "2", "--x", "1000000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 3
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table-f", "--d", "3", "--xmax", "100000"),
+    ("correlate", "--d", "2", "--v1", "100000", "--v2", "100000"),
+])
+def test_capacity_refusal_before_row_pass(capsys, monkeypatch, argv):
+    # the cells alone exceed the default budget, so no row is computed
+    def row_pass_ran(self):
+        raise AssertionError("the row pass ran before the capacity refusal")
+
+    monkeypatch.setattr(corrsum.RepTable, "_compute_rows", row_pass_ran)
+    monkeypatch.delenv("QUADCORR_MEM_BUDGET", raising=False)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == "" and err.startswith("error: ")
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_is_stateless():
+    first = ("correlate", "--d", "5", "--v1", "7/2", "--v2", "3", "--format", "json")
+    sequence = [
+        first,
+        ("table-f", "--d", "2", "--xmax", "30", "--checkpoints", "10", "30"),
+        ("table-f", "--d", "2", "--xmax", "30"),
+        ("correlate", "--d", "2", "--v1"),  # argparse error
+        ("--help",),
+        first,
+    ]
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(_call(argv)[:2])
+    cli.build_parser.cache_clear()
+    reused = [_call(argv)[:2] for argv in sequence]
+    assert cli.build_parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 2, 0, 0]
+
+
+_GARBAGE = ("", "x", "1/0", "-", "nan", "1e1", "7/2", "-1/3", "--d", "0x10")
+
+
+def _mostly(values):
+    """values nine times in ten, else a garbage token."""
+    return st.integers(0, 9).flatmap(lambda k: st.sampled_from(_GARBAGE) if k == 0 else values)
+
+
+_SMALL = _mostly(st.integers(-3, 40).map(str))
+_D = _mostly(st.integers(-2, 45).map(str))
+_FLAGS = {
+    "constant": {"--d": _D},
+    "chi": {"--d": _D, "--n": _SMALL, "--limit": _SMALL},
+    "volume": {"--d": _D, "--terms": _SMALL},
+    "index": {"--d": _D},
+    "cosets": {"--d": _D, "--depth-limit": _SMALL},
+    "rcount": {"--d": _D, "--x": _SMALL, "--y": _SMALL},
+    "correlate": {"--d": _D, "--v1": _SMALL, "--v2": _SMALL, "--oracle": st.just("group"),
+                  "--exclude-lambda-zero": st.none()},
+    "table-f": {"--d": _D, "--xmax": _SMALL, "--checkpoints": st.lists(_SMALL, max_size=3),
+                "--exclude-lambda-zero": st.none()},
+    # an empty --v list means the full default table
+    "table-g": {"--d": _D, "--v": st.lists(_SMALL, min_size=1, max_size=2),
+                "--exclude-lambda-zero": st.none()},
+    "table-c": {"--d": st.lists(_D, max_size=3)},
+    # a valid verify runs the whole battery (about 0.4 s), which the acceptance
+    # tests cover; here each call carries at least one garbage value
+    "verify": {"--dmax": st.sampled_from(_GARBAGE[:5]), "--box": _SMALL,
+               "--corr-limit": _SMALL, "--samples": _SMALL},
+}
+# the required flags, and verify's garbage --dmax
+_ALWAYS = {"--d", "--x", "--v1", "--v2", "--xmax", "--dmax"}
+_COMMON = {"--format": _mostly(st.sampled_from(("text", "json", "csv"))),
+           "--memory-budget": _mostly(st.sampled_from(("-1", "0", "100", "100000000")))}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in {**_FLAGS[command], **_COMMON}.items():
+        if flag in _ALWAYS or draw(st.booleans()):
+            value = draw(values)
+            if value is None:  # a switch
+                argv.append(flag)
+            else:
+                argv += [flag] + (value if isinstance(value, list) else [value])
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=300, deadline=None)
+def test_cli_fuzz_exit_codes(argv):
+    code, _, err = _call(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err, argv

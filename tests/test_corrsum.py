@@ -2,6 +2,8 @@ import io
 import math
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,17 @@ from quadcorr import (
     g_ratio,
     r_brute,
 )
-from quadcorr.corrsum import OffsetBound, RationalBound, _doubled, _max_j, _min_j
+from quadcorr.corrsum import (
+    OffsetBound,
+    RationalBound,
+    RepTable,
+    _doubled,
+    _max_j,
+    _min_cells,
+    _min_j,
+    make_bound,
+)
+from quadcorr.quadfield import RingClass
 from test_repcount import box_lambdas
 
 # one field per class: d = 2, 6 (2 mod 4), 3, 7 (3 mod 4), 5, 13 (5 mod 8), 17, 41 (1 mod 8)
@@ -431,3 +443,108 @@ def test_grid_exact_past_float_precision():
     assert int(table.flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
     table.flat *= c
     assert (correlation_grid(field, 20, table=table) == plain * (c * c)).all()
+
+
+def _reference_oracle(field, v1, v2, *, include_lambda_zero=True):
+    """The group-sum oracle's loop before the per-lambda weights: the box
+    test and r(lambda + 1) decided again for every quadruple."""
+    b1 = make_bound(field, v1)
+    b2 = make_bound(field, v2)
+    d = field.d
+    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    smax = int(2 * (float(b1) + float(b2))) + 4
+    cache = {}
+    total = 0
+
+    def bump(P, Q):
+        lam_next = field.element(P + 2, Q)
+        key = (P + 2, Q)
+        r = cache.get(key)
+        if r is None:
+            r = r_brute(field, lam_next)
+            cache[key] = r
+        return r
+
+    m1 = isqrt(smax)
+    c1_range = range(-m1, m1 + 1) if one else range(-(m1 - m1 % 2), m1 + 1, 2)
+    for c1 in c1_range:
+        s1 = smax - c1 * c1
+        if s1 < 0:
+            continue
+        m2 = isqrt(s1 // d)
+        c2_start = (c1 & 1) if one else 0
+        for c2 in range(-(m2 - ((m2 - c2_start) % 2)), m2 + 1, 2):
+            s2 = s1 - d * c2 * c2
+            if s2 < 0:
+                continue
+            m3 = isqrt(s2)
+            e1_range = range(-m3, m3 + 1) if one else range(-(m3 - m3 % 2), m3 + 1, 2)
+            for e1 in e1_range:
+                s3 = s2 - e1 * e1
+                if s3 < 0:
+                    continue
+                m4 = isqrt(s3 // d)
+                e2_start = (e1 & 1) if one else 0
+                for e2 in range(-(m4 - ((m4 - e2_start) % 2)), m4 + 1, 2):
+                    P = (c1 * c1 + d * c2 * c2 + e1 * e1 + d * e2 * e2) // 2
+                    Q = c1 * c2 + e1 * e2
+                    if not include_lambda_zero and P == 0 and Q == 0:
+                        continue
+                    if not b1.allows(P, Q, True):
+                        continue
+                    if not b2.allows(P, -Q, True):
+                        continue
+                    total += bump(P, Q)
+    return total
+
+
+def _oracle_bound(d):
+    """A non-integer rational bound or a V^(-1/2) bound, small enough for the oracle."""
+    return (st.fractions(Fraction(1, 3), 12, max_denominator=7).filter(lambda v: v.denominator > 1)
+            | st.builds(lambda n, m: InvSqrtBound(d, Fraction(n, m)),
+                        st.integers(1, 40), st.integers(1, 150)))
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+@example(d=2, include_zero=False, data=None)
+def test_oracle_matches_reference_loop(d, include_zero, data):
+    field = field_new(d)
+    if data is None:
+        v1, v2 = Fraction(21, 2), InvSqrtBound(d, Fraction(1, 40))
+    else:
+        v1, v2 = data.draw(_oracle_bound(d)), data.draw(_oracle_bound(d))
+    got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
+    assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
+    assert got == correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_min_cells_is_a_lower_bound_that_refuses_early(d, symmetric, data):
+    field = field_new(d)
+    v1 = data.draw(st.fractions(Fraction(1, 3), 400, max_denominator=7))
+    if symmetric:
+        v2 = v1
+    else:
+        v2 = data.draw(st.fractions(Fraction(1, 3), 400, max_denominator=7)
+                       | st.builds(lambda n, m: InvSqrtBound(d, Fraction(n, m)),
+                                   st.integers(1, 100), st.integers(1, 500)))
+        if data.draw(st.booleans()):
+            v1, v2 = v2, v1
+    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    low = _min_cells(table.b1, table.b2, table.sigma, symmetric)
+    assert 0 <= low <= table.cells
+    if low:
+        # one byte short of the cells alone: refused before any row is computed
+        with mock.patch.object(RepTable, "_compute_rows", side_effect=AssertionError):
+            with pytest.raises(CapacityExceeded):
+                build_rep_table(field, v1, v2, symmetric=symmetric, memory_budget=4 * low - 1)
+
+
+def test_min_cells_is_tight_on_large_boxes():
+    # the refusals it exists for sit well above the budget, but not by 2x
+    for d, symmetric in ((2, True), (5, False), (41, True)):
+        table = build_rep_table(field_new(d), 600, 600, symmetric=symmetric)
+        low = _min_cells(table.b1, table.b2, table.sigma, symmetric)
+        assert 0.9 * table.cells <= low <= table.cells, (d, low, table.cells)

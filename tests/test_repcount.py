@@ -1,9 +1,12 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcorr import field_new, r_brute, r_sym, two_square_solutions
 from quadcorr.quadfield import RingClass
+from quadcorr.repcount import enumeration_steps
 
 
 def box_lambdas(field, box):
@@ -102,3 +105,27 @@ def test_rational_integers_agree(d, n):
     field = field_new(d)
     lam = field.from_int(n)
     assert r_sym(field, lam) == r_brute(field, lam)
+
+
+def _ellipsoid_triples(field, S):
+    """The (A, B, C) that r_brute visits: A^2 + d B^2 + C^2 <= S, all even,
+    or with A = B (mod 2) when half coordinates exist."""
+    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    step = 1 if one else 2
+    count = 0
+    for A in range(-(isqrt(S) // step) * step, isqrt(S) + 1, step):
+        for B in range(-isqrt(S // field.d) - 1, isqrt(S // field.d) + 2):
+            if (B - A) % 2 or field.d * B * B > S - A * A:
+                continue
+            count += 2 * (isqrt(S - A * A - field.d * B * B) // step) + 1
+    return count
+
+
+@pytest.mark.parametrize("d", [2, 6, 3, 7, 5, 13, 17, 41])
+def test_enumeration_steps_tracks_r_brute(d):
+    field = field_new(d)
+    for x in (300, 2000):
+        lam = field.element(2 * x, 0)
+        ratio = enumeration_steps(field, lam) / _ellipsoid_triples(field, 2 * lam.p)
+        assert 0.9 < ratio < 1.2, (x, ratio)
+    assert enumeration_steps(field, field.from_int(-5)) == 0
