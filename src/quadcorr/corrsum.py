@@ -37,7 +37,6 @@ import numpy as np
 from .character import c_constant
 from .errors import CapacityExceeded, OutOfRange, ScaleGuard
 from .quadfield import FieldData, QuadInt, RingClass, sign_quad
-from .repcount import r_brute
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
 MEMORY_BUDGET_ENV = "QUADCORR_MEM_BUDGET"
@@ -735,13 +734,12 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     """Count quadruples (g1, g2, g3, g4) in O^4 with g1^2 + g2^2 =
     g3^2 + g4^2 + 1 and g3^2 + g4^2 in the half-open box.
 
-    This enumerates the matrix set behind the correlation identity point by
-    point, so it must return exactly correlation(...).n_value. Every
-    quadruple (c1, c2, e1, e2) is still visited and counted one by one; what
-    depends only on lambda = g3^2 + g4^2 (the box test, the lambda = 0
-    convention and r(lambda + 1) by direct enumeration) is decided once per
-    lambda and shared by its r(lambda) quadruples. Only usable on small
-    boxes; raises ScaleGuard beyond roughly 1e7 quadruples worth of work.
+    This enumerates the matrix set behind the correlation identity, so it
+    must return exactly correlation(...).n_value. One pass over the pairs
+    (g, g') counts every value lambda = g^2 + g'^2 it reaches; the sum is
+    then taken over the lambdas in the box, each count times the count of
+    lambda + 1, which the same pass reached. Only usable on small boxes;
+    raises ScaleGuard beyond roughly 1e7 quadruples worth of work.
     """
     b1 = make_bound(field, v1)
     b2 = make_bound(field, v2)
@@ -750,26 +748,19 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
 
     d = field.d
     one = field.ring_class is RingClass.ONE_MOD_FOUR
-    # trace bound: lambda + lambda^sigma < v1 + v2, so the doubled quadratic
-    # form c1^2 + d c2^2 + e1^2 + d e2^2 = 2 P stays below 2 (v1 + v2)
-    smax = int(2 * (float(b1) + float(b2))) + 4
+    # the work estimate, from the trace bound in floats
+    rough = int(2 * (float(b1) + float(b2))) + 4
     parity_factor = 4.0 if one else 16.0
-    est = 100.0 + (9.87 / 2.0) * smax * smax / (d * parity_factor)
+    est = 100.0 + (9.87 / 2.0) * rough * rough / (d * parity_factor)
     if est > ORACLE_QUADRUPLE_LIMIT:
         raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
 
-    # weight of lambda = (P + Q sqrt d)/2: r(lambda + 1) inside the box, else 0
-    weights: dict[tuple[int, int], int] = {}
-    total = 0
-
-    def weight(P: int, Q: int) -> int:
-        if not include_lambda_zero and P == 0 and Q == 0:
-            return 0
-        # box: lambda >= 0 (automatic), strict upper bounds
-        if not (b1.allows(P, Q, True) and b2.allows(P, -Q, True)):
-            return 0
-        return r_brute(field, field.element(P + 2, Q))
-
+    # the pair ((c1 + c2 sqrt d)/2, (e1 + e2 sqrt d)/2) reaches lambda =
+    # (P + Q sqrt d)/2 with c1^2 + d c2^2 + e1^2 + d e2^2 = 2 P. A lambda in
+    # the box has P < v1 + v2 <= ceil(v1) + ceil(v2), so all pairs of
+    # lambda + 1 (2 P + 4) are within smax: count[lambda + 1] = r(lambda + 1)
+    smax = 2 * (b1.ceil() + b2.ceil()) + 4
+    count: dict[tuple[int, int], int] = {}
     m1 = isqrt(smax)
     c1_range = range(-m1, m1 + 1) if one else range(-(m1 - m1 % 2), m1 + 1, 2)
     for c1 in c1_range:
@@ -793,8 +784,14 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
                 for e2 in range(-(m4 - ((m4 - e2_start) % 2)), m4 + 1, 2):
                     key = ((c1 * c1 + d * c2 * c2 + e1 * e1 + d * e2 * e2) // 2,
                            c1 * c2 + e1 * e2)
-                    w = weights.get(key)
-                    if w is None:
-                        w = weights[key] = weight(*key)
-                    total += w
+                    count[key] = count.get(key, 0) + 1
+
+    total = 0
+    for (P, Q), n in count.items():
+        n_next = count.get((P + 2, Q))
+        if n_next is None or (not include_lambda_zero and P == 0 and Q == 0):
+            continue
+        # box: lambda >= 0 (automatic), strict upper bounds
+        if b1.allows(P, Q, True) and b2.allows(P, -Q, True):
+            total += n * n_next
     return total

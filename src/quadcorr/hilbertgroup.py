@@ -18,6 +18,7 @@ from .errors import (
     FieldMismatch,
     InvalidElement,
     NotInM,
+    OutOfRange,
     WrongCongruenceClass,
 )
 from .quadfield import FieldData, QuadInt, RingClass
@@ -293,7 +294,7 @@ def coset_bfs(field: FieldData, generators: list[MatO] | None = None,
     most 15, so no canonical form is needed.
     """
     if depth_limit < 1:
-        raise DepthExceeded("depth_limit must be >= 1")
+        raise OutOfRange("depth_limit must be >= 1")
     gens = generators if generators is not None else default_generators(field)
     reps: list[MatO] = [MatO.identity(field)]
     edges: dict[tuple[int, int], int] = {}

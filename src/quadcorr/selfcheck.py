@@ -9,7 +9,7 @@ from fractions import Fraction
 from ._chartable import check_squarefree
 from .character import c_constant, covolume, index_gamma, kronecker
 from .corrsum import build_rep_table, correlation, correlation_group_oracle
-from .errors import NotSquarefree
+from .errors import NotSquarefree, OutOfRange
 from .hilbertgroup import (
     coset_bfs,
     equivalent,
@@ -48,6 +48,11 @@ def _lattice_points(field, box: int):
 def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
                      samples: int = 300,
                      fields: tuple[int, ...] = (2, 3, 5, 13, 17)) -> list[CheckResult]:
+    # a smaller value would leave a check with nothing to cover
+    for name, value, least in (("dmax", dmax, 2), ("box", box, 1),
+                               ("corr_limit", corr_limit, 1), ("samples", samples, 2)):
+        if value < least:
+            raise OutOfRange(f"{name} must be >= {least}")
     results: list[CheckResult] = []
 
     def add(name: str, passed: bool, detail: str) -> None:

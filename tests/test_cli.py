@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcorr import cli, corrsum
+from quadcorr import cli, corrsum, selfcheck
 from quadcorr.cli import main
 
 
@@ -180,6 +180,28 @@ def test_verify_quick(capsys):
                                 "--corr-limit", "3", "--samples", "40")
     assert code == 0
     assert payload["all_passed"] is True
+
+
+# a depth limit below 1 is invalid (2); a search that does not close is refused (3)
+@pytest.mark.parametrize("depth, want", [("0", 2), ("-2", 2), ("1", 3)])
+def test_cosets_depth_limit_exit_codes(capsys, depth, want):
+    code, out, err = run(capsys, "cosets", "--d", "5", "--depth-limit", depth)
+    assert code == want
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--box", "0"), ("--corr-limit", "0"), ("--samples", "0"), ("--samples", "1"),
+    ("--dmax", "1"),
+])
+def test_verify_validates_before_any_check(capsys, monkeypatch, flag, value):
+    def first_check_ran(*args, **kwargs):
+        raise AssertionError("a check ran before the arguments were validated")
+
+    monkeypatch.setattr(selfcheck, "check_squarefree", first_check_ran)
+    code, out, err = run(capsys, "verify", flag, value)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_rcount_scale_guard(capsys):

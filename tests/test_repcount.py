@@ -129,3 +129,83 @@ def test_enumeration_steps_tracks_r_brute(d):
         ratio = enumeration_steps(field, lam) / _ellipsoid_triples(field, 2 * lam.p)
         assert 0.9 < ratio < 1.2, (x, ratio)
     assert enumeration_steps(field, field.from_int(-5)) == 0
+
+
+def _reference_solutions(field, lam):
+    """r_brute's enumeration before eta was solved in closed form: every
+    (A, B, C) of the ellipsoid, with E read off the sqrt(d) component."""
+    if lam.sign() < 0 or lam.conj().sign() < 0:
+        return []
+    d = field.d
+    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    S, Q = 2 * lam.p, lam.q
+
+    def signed(m, parity):
+        # the integers in [-m, m] of one parity, or all of them (parity None)
+        return [v for v in range(-m, m + 1) if parity is None or (v - parity) % 2 == 0]
+
+    out = []
+    for A in signed(isqrt(S), None if one else 0):
+        SA = S - A * A
+        for B in signed(isqrt(SA // d), A & 1 if one else 0):
+            SB = SA - d * B * B
+            qrem = Q - A * B
+            for C in signed(isqrt(SB), None if one else 0):
+                rem = SB - C * C
+                if C != 0:
+                    if qrem % C == 0:
+                        E = qrem // C
+                        if d * E * E == rem and (E - C) % 2 == 0:
+                            out.append((A, B, C, E))
+                elif qrem == 0:
+                    if rem == 0:
+                        out.append((A, B, 0, 0))
+                    elif rem % d == 0:
+                        e = isqrt(rem // d)
+                        if d * e * e == rem and e % 2 == 0:
+                            out += [(A, B, 0, e), (A, B, 0, -e)]
+    return [(field.element(a, b), field.element(c, e)) for a, b, c, e in out]
+
+
+def _solution_keys(solutions):
+    return sorted((xi.p, xi.q, eta.p, eta.q) for xi, eta in solutions)
+
+
+def _assert_matches_reference(field, lam):
+    got = _solution_keys(two_square_solutions(field, lam))
+    assert got == _solution_keys(_reference_solutions(field, lam)), (field.d, lam.p, lam.q)
+    assert r_brute(field, lam) == len(got)
+    return got
+
+
+@given(st.sampled_from([2, 6, 3, 7, 5, 13, 17, 41]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_solutions_match_reference_enumeration(d, data):
+    field = field_new(d)
+    sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+    # lambda = (i + j sqrt d)/sigma, mostly near the totally positive cone
+    i = data.draw(st.integers(-4, 90 * sigma))
+    j = data.draw(st.integers(-(abs(i) // isqrt(d) + 2), abs(i) // isqrt(d) + 2))
+    if sigma == 2 and (i - j) % 2:
+        i += 1
+    lam = field.element(i, j) if sigma == 2 else field.from_xy(i, j)
+    _assert_matches_reference(field, lam)
+
+
+@pytest.mark.parametrize("d", [2, 6, 3, 7, 5, 13, 17, 41])
+def test_solutions_match_reference_on_edge_cases(d):
+    field = field_new(d)
+    # lambda = 0: only xi = eta = 0
+    assert _assert_matches_reference(field, field.zero()) == [(0, 0, 0, 0)]
+    # not totally positive: no solution
+    assert _assert_matches_reference(field, field.from_xy(1, 1)) == []
+    assert _assert_matches_reference(field, field.from_int(-4)) == []
+    # Q = 0, where one of C, E can vanish: rational integers
+    for n in (1, 2, 5, 25, 2 * d, d * d + 1):
+        assert _assert_matches_reference(field, field.from_int(n))
+    # lambda = 2 xi^2: xi = eta
+    xi = field.from_xy(3, 1)
+    assert (xi.p, xi.q) * 2 in _assert_matches_reference(field, xi * xi * 2)
+    # lambda = d * square, and 1 + d * square: eta = 2 sqrt(d), the C = 0 root
+    assert (0, 0, 0, 4) in _assert_matches_reference(field, field.from_int(4 * d))
+    assert (2, 0, 0, -4) in _assert_matches_reference(field, field.from_int(4 * d + 1))
