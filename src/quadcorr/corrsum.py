@@ -10,9 +10,12 @@ otherwise. The stored window for box bounds (V1, V2) is the closed region
 
     lambda >= 0,  lambda^sigma >= 0,  lambda <= V1 + 1,  lambda^sigma <= V2 + 1,
 
-so every lambda + 1 needed by the correlation is present. Box membership in
-the correlation itself is half-open (0 <= lambda < V1, 0 <= lambda^sigma < V2)
-and decided by exact integer sign tests; lambda = 0 is included by default.
+so every lambda + 1 needed by the correlation is present; as lambda - 1 is
+the cell (i - sigma, j), the upper edges are the box's own, sigma rows down.
+Box membership in the correlation itself is half-open (0 <= lambda < V1,
+0 <= lambda^sigma < V2) and decided by exact integer sign tests; lambda = 0
+is included by default. N and the integer grid behind F take the products
+r(lambda) r(lambda + 1) from one banded walk over the stored cells.
 
 All bookkeeping is integer-exact. The window edges of every trace row come
 from one closed form, the largest j with j m sqrt(d) <= R, which is
@@ -52,7 +55,7 @@ _ROW_BYTES = 160
 # 10^9 to 10^400)
 _WIDE_ROW_BYTES = 240
 _DIGIT_BYTES = 12
-# cells per band of correlation_grid
+# cells per band of the product walk
 _BAND_CELLS = 1 << 14
 
 
@@ -75,9 +78,6 @@ class RationalBound:
         num, den = self.value.numerator, self.value.denominator
         s = sign_quad(p * den - 2 * num, q * den, self.d)
         return s < 0 if strict else s <= 0
-
-    def plus_one(self) -> "RationalBound":
-        return RationalBound(self.d, self.value + 1)
 
     def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
         """(a, m, exact) with a/m <= sigma*bound < (a+1)/m, and a/m equal to
@@ -123,9 +123,6 @@ class InvSqrtBound:
         s = sign_quad(a, b, self.d)
         return s < 0 if strict else s <= 0
 
-    def plus_one(self) -> "OffsetBound":
-        return OffsetBound(self, 1)
-
     def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
         nv, dv = self.v.numerator, self.v.denominator
         return isqrt(sigma * sigma * dv * scale * scale // nv), scale, False
@@ -144,47 +141,11 @@ class InvSqrtBound:
         return f"{Fraction(self.v)}**(-1/2)"
 
 
-class OffsetBound:
-    """inner bound shifted by an integer offset."""
-
-    __slots__ = ("inner", "offset")
-
-    def __init__(self, inner, offset: int):
-        self.inner = inner
-        self.offset = offset
-
-    @property
-    def d(self) -> int:
-        return self.inner.d
-
-    def allows(self, p: int, q: int, strict: bool) -> bool:
-        return self.inner.allows(p - 2 * self.offset, q, strict)
-
-    def plus_one(self) -> "OffsetBound":
-        return OffsetBound(self.inner, self.offset + 1)
-
-    def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
-        a, m, exact = self.inner.bracket(sigma, scale)
-        return a + sigma * self.offset * m, m, exact
-
-    def ceil(self) -> int:
-        return self.inner.ceil() + self.offset
-
-    def is_positive(self) -> bool:
-        return True
-
-    def __float__(self) -> float:
-        return float(self.inner) + self.offset
-
-    def describe(self) -> str:
-        return f"{self.inner.describe()}+{self.offset}"
-
-
-Bound = RationalBound | InvSqrtBound | OffsetBound
+Bound = RationalBound | InvSqrtBound
 
 
 def make_bound(field: FieldData, value) -> Bound:
-    if isinstance(value, (RationalBound, InvSqrtBound, OffsetBound)):
+    if isinstance(value, (RationalBound, InvSqrtBound)):
         if value.d != field.d:
             raise OutOfRange("bound belongs to a different field")
         return value
@@ -270,9 +231,10 @@ def _snap_down(j: int, parity: int) -> int:
 _SQRT_SCALE = 1 << 32
 
 
-def _min_cells(b1: Bound, b2: Bound, sigma: int, symmetric: bool) -> int:
-    """A lower bound, in exact integers, on the cells of the closed window
-    (b1, b2), from its area and before any row is computed.
+def _min_cells(v1: Bound, v2: Bound, sigma: int, symmetric: bool) -> int:
+    """A lower bound, in exact integers, on the cells of the stored window of
+    the box (v1, v2), whose closed edges are b1 = v1 + 1 and b2 = v2 + 1,
+    from its area and before any row is computed.
 
     In the trace coordinates (i, j) the window is a parallelogram of area
     (sigma b1)(sigma b2) / (2 sqrt d), and row i holds the j of one parity
@@ -281,14 +243,16 @@ def _min_cells(b1: Bound, b2: Bound, sigma: int, symmetric: bool) -> int:
     its maximum, sigma (b1 + b2) / (2 sqrt d). Symmetric storage keeps at
     least half of the cells.
     """
-    s = isqrt(b1.d * _SQRT_SCALE * _SQRT_SCALE)
-    a1, m1, _ = b1.bracket(sigma, _SQRT_SCALE)
-    a2, m2, _ = b2.bracket(sigma, _SQRT_SCALE)
-    c1, c2 = b1.ceil(), b2.ceil()
+    s = isqrt(v1.d * _SQRT_SCALE * _SQRT_SCALE)
+    a1, m1, _ = v1.bracket(sigma, _SQRT_SCALE)
+    a2, m2, _ = v2.bracket(sigma, _SQRT_SCALE)
+    # a/m brackets sigma v, so (a + sigma m)/m brackets sigma b
+    a1, a2 = a1 + sigma * m1, a2 + sigma * m2
+    c = v1.ceil() + v2.ceil() + 2  # ceil(b1) + ceil(b2)
     # half the area rounded down, half the peak rounded up, one per row
-    half_area = max(a1, 0) * max(a2, 0) * _SQRT_SCALE // (4 * m1 * m2 * (s + 1))
-    half_peak = -(-sigma * (c1 + c2) * _SQRT_SCALE // (4 * s))
-    rows = sigma * (c1 + c2) // 2 + 1
+    half_area = a1 * a2 * _SQRT_SCALE // (4 * m1 * m2 * (s + 1))
+    half_peak = -(-sigma * c * _SQRT_SCALE // (4 * s))
+    rows = sigma * c // 2 + 1
     full = max(half_area - half_peak - rows, 0)
     return full // 2 if symmetric else full
 
@@ -324,8 +288,6 @@ class RepTable:
         self.v2 = make_bound(field, v2)
         if not (self.v1.is_positive() and self.v2.is_positive()):
             raise OutOfRange("box bounds must be positive")
-        self.b1 = self.v1.plus_one()
-        self.b2 = self.v2.plus_one()
 
         same = (
             isinstance(self.v1, RationalBound)
@@ -339,15 +301,16 @@ class RepTable:
         self.symmetric = symmetric
 
         # bound the rows before any row array exists: 2i/sigma = lambda +
-        # lambda^sigma <= b1 + b2; _compute_rows trims it to the last filled row
-        self.imax = self.sigma * (self.b1.ceil() + self.b2.ceil()) // 2
-        # the row cap bounds every later edge pass, so it also fixes their path
-        digits = max(_edge_plan(b, self.imax, self.sigma)[3] for b in (self.b1, self.b2))
+        # lambda^sigma <= v1 + v2 + 2; _compute_rows trims it to the last filled row
+        self.imax = self.sigma * (self.v1.ceil() + self.v2.ceil() + 2) // 2
+        # the row cap bounds |i| and |i - sigma| in every later edge pass, so
+        # it also fixes their path
+        digits = max(_edge_plan(v, self.imax, self.sigma)[3] for v in (self.v1, self.v2))
         self.row_bytes = _WIDE_ROW_BYTES + _DIGIT_BYTES * digits if digits else _ROW_BYTES
         self.cells = 0
         self._check_budget(memory_budget)
         # a refusal the cells alone force needs no row pass
-        self._check_budget(memory_budget, _min_cells(self.b1, self.b2, self.sigma, symmetric))
+        self._check_budget(memory_budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
         self._compute_rows()
         self._check_budget(memory_budget)
         self._build()
@@ -364,8 +327,9 @@ class RepTable:
         sigma = self.sigma
         i = np.arange(self.imax + 1, dtype=np.int64)
         top = _floor_div_sqrt(i, 1, d, strict=False)  # lambda, lambda^sigma >= 0
-        hi = np.minimum(top, _max_j(self.b1, i, sigma, strict=False))
-        lo = np.maximum(-top, _min_j(self.b2, i, sigma, strict=False))
+        # lambda - 1 is the cell (i - sigma, j): lambda <= v1 + 1 is lambda - 1 <= v1
+        hi = np.minimum(top, _max_j(self.v1, i - sigma, sigma, strict=False))
+        lo = np.maximum(-top, _min_j(self.v2, i - sigma, sigma, strict=False))
         filled = np.flatnonzero(hi >= lo)
         if not len(filled):
             raise OutOfRange("empty window")
@@ -530,6 +494,35 @@ class CorrelationResult:
         }
 
 
+def _products(table: RepTable, include_lambda_zero: bool):
+    """Walk the table in bands of _BAND_CELLS cells, yielding per band the
+    arrays (i, j, r(lambda) r(lambda + 1)) over its nonzero cells (i, j)
+    whose lambda + 1, the cell (i + sigma, j), is stored. In symmetric
+    storage a cell with j > 0 also stands for its mirror -j, so its product
+    is doubled. The bands keep the temporaries small next to the table."""
+    sigma = table.sigma
+    flat, y0, yhi, row_start = table.flat, table.y0, table.yhi, table.row_start
+    off = table._offsets()
+    # row 0 holds lambda = 0 alone; rows past imax - sigma have no lambda + 1 row
+    start = int(row_start[0 if include_lambda_zero else 1])
+    stop = int(row_start[max(table.imax - sigma + 1, 0)])
+    for a in range(start, stop, _BAND_CELLS):
+        b = min(a + _BAND_CELLS, stop)
+        k = a + np.flatnonzero(flat[a:b])
+        # the band's rows are r..r_end - 1; find each cell's row among them
+        r = int(np.searchsorted(row_start, a, side="right")) - 1
+        r_end = int(np.searchsorted(row_start, b - 1, side="right"))
+        i = r - 1 + np.searchsorted(row_start[r:r_end], k, side="right")
+        j = 2 * k - off[i]
+        i2 = i + sigma
+        keep = np.flatnonzero((j >= y0[i2]) & (j <= yhi[i2]))
+        k, i, i2, j = k[keep], i[keep], i2[keep], j[keep]
+        prods = flat[k].astype(np.int64) * flat[(off[i2] + j) >> 1]
+        if table.symmetric:
+            prods <<= j > 0
+        yield i, j, prods
+
+
 def _strict_row_range(table: RepTable) -> tuple[np.ndarray, np.ndarray]:
     """Edges (lo, hi) of the half-open box in every row 0..imax."""
     sigma = table.sigma
@@ -538,22 +531,6 @@ def _strict_row_range(table: RepTable) -> tuple[np.ndarray, np.ndarray]:
     hi = np.minimum(top, _max_j(table.v1, i, sigma, strict=True))
     lo = np.maximum(-top, _min_j(table.v2, i, sigma, strict=True))
     return lo, hi
-
-
-def _run_dot(table: RepTable, rows: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> int:
-    """Sum of r(lambda) r(lambda + 1) over the cells j = lo, lo+2, ..., hi of
-    each row (lo, hi of the row's parity), in int64."""
-    ln = (hi - lo) // 2 + 1
-    used = ln > 0
-    rows, lo, ln = rows[used], lo[used], ln[used]
-    rows2 = rows + table.sigma
-    a0 = table.row_start[rows] + ((lo - table.y0[rows]) >> 1)
-    b0 = table.row_start[rows2] + ((lo - table.y0[rows2]) >> 1)
-    flat = table.flat
-    total = 0
-    for a, b, n in zip(a0.tolist(), b0.tolist(), ln.tolist()):
-        total += int(np.dot(flat[a:a + n].astype(np.int64), flat[b:b + n].astype(np.int64)))
-    return total
 
 
 def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
@@ -569,20 +546,13 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         if table.v1.describe() != want1 or table.v2.describe() != want2:
             raise OutOfRange("supplied table was built for different bounds")
     lo, hi = _strict_row_range(table)
-    rows = np.arange(table.imax + 1, dtype=np.int64)
-    par = table._parity(rows)
-    lo = _snap_up(lo, par)
-    hi = _snap_down(hi, par)
-    if not include_lambda_zero:
-        hi[0] = lo[0] - 2  # row 0 holds lambda = 0 alone
-    if table.symmetric:
-        # the strict box is symmetric too: fold onto j >= 0
-        on_axis = (par == 0) & (lo <= 0) & (hi >= 0)
-        total = 2 * _run_dot(table, rows, 2 - par, hi)
-        axis = np.zeros(int(on_axis.sum()), dtype=np.int64)
-        total += _run_dot(table, rows[on_axis], axis, axis)
-    else:
-        total = _run_dot(table, rows, lo, hi)
+    total = 0
+    for i, j, prods in _products(table, include_lambda_zero):
+        # a symmetric box is symmetric in j, so a doubled product's mirror is in it too
+        p = prods[(j >= lo[i]) & (j <= hi[i])]
+        # exact in int64: a product is below 2^63, so each part is below 2^32,
+        # summed over at most 2^14 cells
+        total += int((p & ((1 << 31) - 1)).sum()) + (int((p >> 31).sum()) << 31)
 
     c = c_constant(field)
     main = float(c) * float(table.v1) * float(table.v2)
@@ -609,19 +579,16 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
                      table: RepTable | None = None) -> np.ndarray:
     """N_D(V, V) for every integer V = 0..xmax, as one int64 array.
 
-    Cells are bucketed by the first integer V that contains them, which is
-    floor(max(lambda, lambda^sigma)) + 1, and the buckets are prefix-summed.
-    The table is walked in bands of _BAND_CELLS cells, so the temporaries
-    stay small next to the table.
+    The products of _products are bucketed by the first integer V whose box
+    contains their cell, which is floor(max(lambda, lambda^sigma)) + 1, and
+    the buckets are prefix-summed.
     """
     if xmax < 0:
         raise OutOfRange("xmax must be >= 0")
     if table is None:
         table = build_rep_table(field, xmax, xmax, symmetric=symmetric,
                                 memory_budget=memory_budget)
-    sigma = table.sigma
-    flat, y0, yhi, row_start = table.flat, table.y0, table.yhi, table.row_start
-    off = table._offsets()
+    sigma, y0, yhi = table.sigma, table.y0, table.yhi
     buckets = np.zeros(xmax + 2, dtype=np.int64)
 
     # fl[|j|] = floor(|j| sqrt d), so max(lambda, lambda^sigma) = (i + fl[|j|]) / sigma
@@ -630,26 +597,11 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     jabs = np.arange(jabs_max + 1, dtype=object if wide else np.int64)
     fl = _isqrt(jabs * jabs * field.d).astype(np.int64)
 
-    # rows past imax - sigma have no lambda + 1 row; all their cells exceed the grid
-    start = int(row_start[0 if include_lambda_zero else 1])
-    stop = int(row_start[max(table.imax - sigma + 1, 0)])
-    for a in range(start, stop, _BAND_CELLS):
-        b = min(a + _BAND_CELLS, stop)
-        k = a + np.flatnonzero(flat[a:b])
-        # the band's rows are r..r_end - 1; find each cell's row among them
-        r = int(np.searchsorted(row_start, a, side="right")) - 1
-        r_end = int(np.searchsorted(row_start, b - 1, side="right"))
-        i = r - 1 + np.searchsorted(row_start[r:r_end], k, side="right")
-        j = 2 * k - off[i]
-        v = (i + fl[np.abs(j)]) // sigma + 1
-        i2 = i + sigma
-        keep = np.flatnonzero((v <= xmax) & (j >= y0[i2]) & (j <= yhi[i2]))
-        if not len(keep):
+    for i, j, prods in _products(table, include_lambda_zero):
+        if not len(prods):
             continue
-        k, i2, j, v = k[keep], i2[keep], j[keep], v[keep]
-        prods = flat[k].astype(np.int64) * flat[(off[i2] + j) >> 1]
-        if table.symmetric:
-            prods <<= j > 0  # the mirror cell -j is not stored
+        # cells past the grid go to bucket xmax + 1, which the result leaves out
+        v = np.minimum((i + fl[np.abs(j)]) // sigma + 1, xmax + 1)
         # bincount sums in float64, exact below 2^53: split each product at
         # bit 26, so each part summed over at most 2^14 cells stays below 2^51
         v0 = int(v.min())
@@ -748,18 +700,20 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
 
     d = field.d
     one = field.ring_class is RingClass.ONE_MOD_FOUR
-    # the work estimate, from the trace bound in floats
-    rough = int(2 * (float(b1) + float(b2))) + 4
-    parity_factor = 4.0 if one else 16.0
-    est = 100.0 + (9.87 / 2.0) * rough * rough / (d * parity_factor)
-    if est > ORACLE_QUADRUPLE_LIMIT:
-        raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
-
     # the pair ((c1 + c2 sqrt d)/2, (e1 + e2 sqrt d)/2) reaches lambda =
     # (P + Q sqrt d)/2 with c1^2 + d c2^2 + e1^2 + d e2^2 = 2 P. A lambda in
     # the box has P < v1 + v2 <= ceil(v1) + ceil(v2), so all pairs of
     # lambda + 1 (2 P + 4) are within smax: count[lambda + 1] = r(lambda + 1)
     smax = 2 * (b1.ceil() + b2.ceil()) + 4
+    # the work estimate from the same bound; past float range it is infinite
+    parity_factor = 4.0 if one else 16.0
+    try:
+        est = 100.0 + (9.87 / 2.0) * smax * smax / (d * parity_factor)
+    except OverflowError:
+        est = float("inf")
+    if est > ORACLE_QUADRUPLE_LIMIT:
+        raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
+
     count: dict[tuple[int, int], int] = {}
     m1 = isqrt(smax)
     c1_range = range(-m1, m1 + 1) if one else range(-(m1 - m1 % 2), m1 + 1, 2)

@@ -163,6 +163,16 @@ def test_oracle_guard_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("v1, v2", [("1e400", "1"), ("1", "1e400")])
+def test_oracle_guard_past_float_range(capsys, v1, v2):
+    # the work estimate must not go through float(bound), which overflows here
+    code, out, err = run(capsys, "correlate", "--d", "2", "--v1", v1, "--v2", v2,
+                         "--oracle", "group")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_env_memory_budget(capsys, monkeypatch):
     monkeypatch.setenv("QUADCORR_MEM_BUDGET", "1000")
     code, _, _ = run(capsys, "correlate", "--d", "2", "--v1", "4000", "--v2", "4000")
@@ -260,7 +270,7 @@ def test_parser_reuse_is_stateless():
     assert [code for code, _ in reused] == [0, 0, 0, 2, 0, 0]
 
 
-_GARBAGE = ("", "x", "1/0", "-", "nan", "1e1", "7/2", "-1/3", "--d", "0x10")
+_GARBAGE = ("", "x", "1/0", "-", "nan", "1e1", "7/2", "-1/3", "--d", "0x10", "1e400", "1e-400")
 
 
 def _mostly(values):

@@ -27,7 +27,6 @@ from quadcorr import (
     r_brute,
 )
 from quadcorr.corrsum import (
-    OffsetBound,
     RationalBound,
     RepTable,
     _doubled,
@@ -275,30 +274,34 @@ def edge_bounds(draw, d):
     else:
         v = draw(st.sampled_from([Fraction(20000), Fraction(1, 2)]) | st.fractions(
             Fraction(1, 100), 10**6, max_denominator=100))
-    bound = InvSqrtBound(d, v)
-    return OffsetBound(bound, draw(st.integers(1, 3))) if draw(st.booleans()) else bound
+    return InvSqrtBound(d, v)
 
 
 def _edge_rows(draw):
-    start = draw(st.integers(0, 10**5) | st.integers(2**53, 2**60))  # past 2^53: Python ints
+    # the table's window asks for rows down to -sigma; past 2^53: Python ints
+    start = draw(st.integers(-8, 0) | st.integers(0, 10**5) | st.integers(2**53, 2**60))
     return np.arange(start, start + draw(st.integers(1, 40)), dtype=np.int64)
 
 
-@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@given(st.sampled_from(RING_DS), st.booleans(), st.integers(0, 3), st.data())
 @settings(max_examples=300, deadline=None)
-def test_edges_match_definition(d, strict, data):
+def test_edges_match_definition(d, strict, k, data):
+    """The edges of bound + k, as the window takes them: the edges of bound
+    on the rows shifted down by k sigma, since lambda - k is (i - k sigma, j)."""
     sigma = _sigma(d)
     bound = data.draw(edge_bounds(d))
     rows = _edge_rows(data.draw)
 
-    def ok(i, j):
-        return bound.allows(*_doubled(i, j, sigma), strict)
+    def ok(i, j):  # bound + k >= (i + j sqrt d)/sigma
+        p, q = _doubled(i, j, sigma)
+        return bound.allows(p - 2 * k, q, strict)
 
     c = bound.ceil()  # the row cap rests on it: bound <= c < bound + 1
     assert not bound.allows(2 * c, 0, True) and bound.allows(2 * c - 2, 0, True)
 
-    for i, hi, lo in zip(rows.tolist(), _max_j(bound, rows, sigma, strict).tolist(),
-                         _min_j(bound, rows, sigma, strict).tolist()):
+    shifted = rows - k * sigma
+    for i, hi, lo in zip(rows.tolist(), _max_j(bound, shifted, sigma, strict).tolist(),
+                         _min_j(bound, shifted, sigma, strict).tolist()):
         assert ok(i, hi) and not ok(i, hi + 1), (i, hi)
         assert ok(i, -lo) and not ok(i, -(lo - 1)), (i, lo)
 
@@ -312,13 +315,14 @@ def test_int64_isqrt_near_squares():
 
 @pytest.mark.parametrize("d", RING_DS)
 def test_strict_and_closed_edges_differ_on_lattice_bound(d):
-    # V^(-1/2) = sqrt(d)/sigma is the lattice point (0, 1), and 1 + V^(-1/2) is (sigma, 1)
+    # V^(-1/2) = sqrt(d)/sigma is the lattice point (0, 1), and 1 + V^(-1/2) is
+    # (sigma, 1), which the window's edges find on row sigma shifted by sigma
     sigma = _sigma(d)
     bound = InvSqrtBound(d, Fraction(sigma**2, d))
-    for b, row in ((bound, 0), (OffsetBound(bound, 1), sigma)):
-        rows = np.array([row], dtype=np.int64)
-        assert _max_j(b, rows, sigma, strict=False)[0] == 1
-        assert _max_j(b, rows, sigma, strict=True)[0] == 0
+    for row, shift in ((0, 0), (sigma, sigma)):
+        rows = np.array([row], dtype=np.int64) - shift
+        assert _max_j(bound, rows, sigma, strict=False)[0] == 1
+        assert _max_j(bound, rows, sigma, strict=True)[0] == 0
 
 
 @given(st.sampled_from(RING_DS), st.data())
@@ -445,6 +449,90 @@ def test_grid_exact_past_float_precision():
     assert (correlation_grid(field, 20, table=table) == plain * (c * c)).all()
 
 
+def _reference_correlation(table, include_lambda_zero):
+    """The correlation sum the product walk replaced: per-row dot products
+    over runs of cells snapped to the row's parity, with a symmetric table
+    folded onto j >= 0 (each j > 0 twice, the axis j = 0 once)."""
+
+    def run_dot(rows, lo, hi):
+        ln = (hi - lo) // 2 + 1
+        used = ln > 0
+        rows, lo, ln = rows[used], lo[used], ln[used]
+        rows2 = rows + table.sigma
+        a0 = table.row_start[rows] + ((lo - table.y0[rows]) >> 1)
+        b0 = table.row_start[rows2] + ((lo - table.y0[rows2]) >> 1)
+        flat = table.flat.astype(np.int64)
+        return sum(int(np.dot(flat[a:a + n], flat[b:b + n]))
+                   for a, b, n in zip(a0.tolist(), b0.tolist(), ln.tolist()))
+
+    lo, hi = corrsum._strict_row_range(table)
+    rows = np.arange(table.imax + 1, dtype=np.int64)
+    par = table._parity(rows)
+    lo = corrsum._snap_up(lo, par)
+    hi = corrsum._snap_down(hi, par)
+    if not include_lambda_zero:
+        hi[0] = lo[0] - 2  # row 0 holds lambda = 0 alone
+    if not table.symmetric:
+        return run_dot(rows, lo, hi)
+    on_axis = (par == 0) & (lo <= 0) & (hi >= 0)
+    axis = np.zeros(int(on_axis.sum()), dtype=np.int64)
+    return 2 * run_dot(rows, 2 - par, hi) + run_dot(rows[on_axis], axis, axis)
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+@example(d=2, symmetric=True, include_zero=True, data=None)
+@example(d=2, symmetric=False, include_zero=False, data=None)
+def test_correlation_matches_reference_route(d, symmetric, include_zero, data):
+    field = field_new(d)
+    if data is None:  # table scale
+        v1 = v2 = Fraction(3001, 2)
+    elif symmetric:
+        v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
+    else:
+        v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
+    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    got = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero)
+    assert got.n_value == _reference_correlation(table, include_zero)
+
+
+def test_correlation_exact_past_int64():
+    # with every nonzero cell at 2^31 - 1 each product is about 2^62 (2^63
+    # doubled), so the products of one band sum far past 2^63
+    field = field_new(2)
+    table = build_rep_table(field, 40, 40)
+    table.flat[:] = table.flat > 0
+    ones = correlation(field, 40, 40, table=table).n_value
+    table.flat *= 2**31 - 1
+    big = correlation(field, 40, 40, table=table).n_value
+    assert ones > 2 and big == ones * (2**31 - 1) ** 2
+
+
+@given(st.sampled_from(RING_DS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_monotone_in_each_bound(d, data):
+    """Products are non-negative, so N grows with either bound while the
+    other stays fixed; a window edge that drops a cell breaks this."""
+    field = field_new(d)
+    side = st.fractions(Fraction(1, 3), 25, max_denominator=7).filter(lambda v: v.denominator > 1)
+    v1, v2 = data.draw(side), data.draw(side)
+    w = v1 + data.draw(st.fractions(0, 6, max_denominator=5))
+    include_zero = data.draw(st.booleans())
+
+    def n(a, b):
+        return correlation(field, a, b, include_lambda_zero=include_zero).n_value
+
+    assert n(w, v2) >= n(v1, v2) and n(v2, w) >= n(v2, v1)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_grid_from_a_larger_table(d):
+    # cells of a table built for a larger box fall past the grid and are left out
+    field = field_new(d)
+    table = build_rep_table(field, 30, 30)
+    assert (correlation_grid(field, 12, table=table) == correlation_grid(field, 12)).all()
+
+
 def _reference_oracle(field, v1, v2, *, include_lambda_zero=True):
     """The group-sum oracle's loop before the per-lambda weights: the box
     test and r(lambda + 1) decided again for every quadruple."""
@@ -533,7 +621,7 @@ def test_min_cells_is_a_lower_bound_that_refuses_early(d, symmetric, data):
         if data.draw(st.booleans()):
             v1, v2 = v2, v1
     table = build_rep_table(field, v1, v2, symmetric=symmetric)
-    low = _min_cells(table.b1, table.b2, table.sigma, symmetric)
+    low = _min_cells(table.v1, table.v2, table.sigma, symmetric)
     assert 0 <= low <= table.cells
     if low:
         # one byte short of the cells alone: refused before any row is computed
@@ -546,5 +634,5 @@ def test_min_cells_is_tight_on_large_boxes():
     # the refusals it exists for sit well above the budget, but not by 2x
     for d, symmetric in ((2, True), (5, False), (41, True)):
         table = build_rep_table(field_new(d), 600, 600, symmetric=symmetric)
-        low = _min_cells(table.b1, table.b2, table.sigma, symmetric)
+        low = _min_cells(table.v1, table.v2, table.sigma, symmetric)
         assert 0.9 * table.cells <= low <= table.cells, (d, low, table.cells)
