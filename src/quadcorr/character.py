@@ -1,9 +1,11 @@
-"""Kronecker character machinery for a real quadratic field: exact weighted
-character sums, the correlation constant C_D, the subgroup index, and three
+"""Kronecker character machinery for a real quadratic field: the scalar
+Kronecker symbol, exact weighted character sums over the chi table that
+quadfield builds, the correlation constant C_D, the subgroup index, and three
 independent routes to the covolume of the corresponding quotient.
 
-C_D is always an exact rational (fractions.Fraction); only the covolume
-cross-checks use floating point, and those carry rigorous truncation bounds.
+C_D is always an exact rational (fractions.Fraction), for every Delta the
+field accepts; only the covolume cross-checks use floating point, and those
+carry rigorous truncation bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._chartable import kronecker
 from .errors import OutOfRange
 from .quadfield import FieldData
 
@@ -29,15 +30,66 @@ __all__ = [
 ]
 
 
+def kronecker(a: int, n: int) -> int:
+    """Kronecker symbol (a/n) by the standard reduction: extract powers of 2
+    with the (a/2) rule, then flip via quadratic reciprocity."""
+    if n == 0:
+        return 1 if a in (1, -1) else 0
+    result = 1
+    if n < 0:
+        n = -n
+        if a < 0:
+            result = -result
+    if n % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        while n % 2 == 0:
+            n //= 2
+            if a % 8 in (3, 5):
+                result = -result
+    a %= n
+    while a != 0:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _power_sums(chi: np.ndarray) -> tuple[int, int, int]:
+    """Exact (s0, s1, s2) with s_k = sum over n = 0..len(chi)-1 of n^k chi[n].
+
+    Each chunk of 2^18 residues from lo is summed in int64 over the offsets
+    m = n - lo, so |sum m^2 chi| < 2^54; the chunk sums are shifted back to n
+    in Python ints, which grow as far as the totals need.
+    """
+    chunk = 1 << 18
+    m = np.arange(min(chunk, len(chi)), dtype=np.int64)
+    m2 = m * m
+    s0 = s1 = s2 = 0
+    for lo in range(0, len(chi), chunk):
+        c = chi[lo:lo + chunk].astype(np.int64)
+        t0 = int(c.sum())
+        t1 = int(np.dot(m[:len(c)], c))
+        t2 = int(np.dot(m2[:len(c)], c))
+        s0 += t0
+        s1 += t1 + lo * t0
+        s2 += t2 + 2 * lo * t1 + lo * lo * t0
+    return s0, s1, s2
+
+
 def weighted_char_sums(field: FieldData) -> tuple[int, int, int]:
     """Exact s_k = sum_{n=1}^{Delta} n^k chi(n) for k = 0, 1, 2.
 
-    The character is even and primitive, so s0 = s1 = 0; both are computed
-    and checked rather than assumed.
+    n = Delta contributes chi(0) = 0, so the sums run over the residues
+    0..Delta-1 of the table. The character is even and primitive, so
+    s0 = s1 = 0; both are computed and checked rather than assumed.
     """
-    from ._chartable import weighted_sums
-
-    s0, s1, s2 = weighted_sums(field.chi_values)
+    s0, s1, s2 = _power_sums(field.chi_values)
     if s0 != 0 or s1 != 0:
         raise ArithmeticError(
             f"character sums violate s0 = s1 = 0 for d={field.d}: s0={s0}, s1={s1}"

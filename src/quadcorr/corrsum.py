@@ -581,13 +581,16 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
 
     The products of _products are bucketed by the first integer V whose box
     contains their cell, which is floor(max(lambda, lambda^sigma)) + 1, and
-    the buckets are prefix-summed.
+    the buckets are prefix-summed. A given table must have rational bounds
+    of at least xmax, else OutOfRange.
     """
     if xmax < 0:
         raise OutOfRange("xmax must be >= 0")
     if table is None:
         table = build_rep_table(field, xmax, xmax, symmetric=symmetric,
                                 memory_budget=memory_budget)
+    elif not all(isinstance(b, RationalBound) and b.value >= xmax for b in (table.v1, table.v2)):
+        raise OutOfRange(f"the table's bounds do not cover V = {xmax}")
     sigma, y0, yhi = table.sigma, table.y0, table.yhi
     buckets = np.zeros(xmax + 2, dtype=np.int64)
 

@@ -1,4 +1,6 @@
-"""Exact arithmetic in the ring of integers O of a real quadratic field.
+"""Exact arithmetic in the ring of integers O of a real quadratic field, and
+the field data every other module builds on: the discriminant, the prime
+divisors of d and the table of the Kronecker character chi(n) = (Delta/n).
 
 Elements are stored in doubled coordinates (p, q) meaning (p + q*sqrt(d))/2,
 which gives one code path for both ring shapes:
@@ -8,6 +10,9 @@ which gives one code path for both ring shapes:
 
 All comparisons against rational bounds are decided by integer sign
 analysis, never by floating point.
+
+A field is refused with CapacityExceeded when Delta passes MAX_DELTA, before
+d is factored or any table allocated; below it, trial division is fast.
 """
 
 from __future__ import annotations
@@ -19,8 +24,13 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from . import _chartable
-from .errors import FieldMismatch, InvalidElement, OutOfRange
+from .errors import CapacityExceeded, FieldMismatch, InvalidElement, NotSquarefree, OutOfRange
+
+# Building the chi table peaks at 19 bytes per residue under tracemalloc (the
+# int64 index and its remainder, three int8 tables; d = 9999973, a prime with
+# Delta = d), so this is the largest Delta whose build stays under corrsum's
+# default 2 GiB memory budget.
+MAX_DELTA = (2 << 30) // 19
 
 
 class RingClass(Enum):
@@ -49,6 +59,52 @@ def sign_quad(a: int, b: int, d: int) -> int:
     return sa if aa > bb else sb
 
 
+def check_squarefree(d: int) -> list[int]:
+    """The sorted prime divisors of d > 1, raising NotSquarefree if a square
+    divides d. Trial division by 2, then by odd p while p^2 <= the cofactor."""
+    primes = []
+    rest = d
+    p = 2
+    while p * p <= rest:
+        if rest % p == 0:
+            rest //= p
+            if rest % p == 0:
+                raise NotSquarefree(f"{d} is divisible by {p}^2")
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        primes.append(rest)
+    return primes
+
+
+def _legendre_table(p: int) -> np.ndarray:
+    """(n/p) for the odd prime p, indexed by n mod p."""
+    tbl = np.full(p, -1, dtype=np.int8)
+    tbl[0] = 0
+    tbl[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    return tbl
+
+
+def chi_table(d: int, delta: int, prime_divisors: list[int]) -> np.ndarray:
+    """Length-Delta int8 table with table[n % Delta] = (Delta/n).
+
+    Delta is a product of prime discriminants: (-1)^((p-1)/2) p for each odd
+    p | d, whose character is the Legendre symbol mod p, and -4, 8 or -8 when
+    Delta is even. chi is the product of their characters.
+    """
+    parts = [_legendre_table(p) for p in prime_divisors if p != 2]
+    if d % 2 == 0:  # 8 or -8, by n mod 8
+        parts.append(np.array([0, 1, 0, -1, 0, -1, 0, 1] if d // 2 % 4 == 1
+                              else [0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8))
+    elif d % 4 == 3:  # -4, by n mod 4
+        parts.append(np.array([0, 1, 0, -1], dtype=np.int8))
+    idx = np.arange(delta, dtype=np.int64)
+    tbl = np.ones(delta, dtype=np.int8)
+    for part in parts:
+        tbl *= part[idx % len(part)]
+    return tbl
+
+
 class FieldData:
     """A real quadratic field Q(sqrt(d)) with its ring data and character table.
 
@@ -60,16 +116,19 @@ class FieldData:
     def __init__(self, d: int):
         if d <= 1:
             raise OutOfRange(f"d must be > 1, got {d}")
-        primes = _chartable.check_squarefree(d)
+        delta = d if d % 4 == 1 else 4 * d
+        if delta > MAX_DELTA:
+            raise CapacityExceeded(f"Delta = {delta} exceeds the chi-table limit {MAX_DELTA}")
+        primes = check_squarefree(d)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "delta", _chartable.discriminant(d))
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(
             self,
             "ring_class",
             RingClass.ONE_MOD_FOUR if d % 4 == 1 else RingClass.OTHER_MOD_FOUR,
         )
         object.__setattr__(self, "prime_divisors", tuple(primes))
-        object.__setattr__(self, "_chi", _chartable.chi_table(d, primes))
+        object.__setattr__(self, "_chi", chi_table(d, delta, primes))
         self._chi.setflags(write=False)
 
     def __setattr__(self, name, value):  # immutability

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._chartable import check_squarefree
 from .character import c_constant, covolume, index_gamma, kronecker
 from .corrsum import build_rep_table, correlation, correlation_group_oracle
 from .errors import NotSquarefree, OutOfRange
@@ -62,10 +61,9 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     bad = []
     for d in range(2, dmax + 1):
         try:
-            check_squarefree(d)
+            f = field_new(d)
         except NotSquarefree:
             continue
-        f = field_new(d)
         c = c_constant(f)
         delta = f.delta
         if not (Fraction(192, 5) ** 2 < c * c * delta**3 and c * c * delta**3 < 240**2):
@@ -81,10 +79,9 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     bad = []
     for d in range(2, 41):
         try:
-            check_squarefree(d)
+            f = field_new(d)
         except NotSquarefree:
             continue
-        f = field_new(d)
         for n in range(1, f.delta + 1):
             if f.chi(n) != kronecker(f.delta, n):
                 bad.append((d, n))

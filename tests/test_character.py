@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from quadcorr import (
     l_value_2,
     weighted_char_sums,
 )
+from quadcorr.character import _power_sums
 
 
 def squarefree_up_to(limit):
@@ -59,6 +61,16 @@ def test_weighted_sum_examples():
     assert weighted_char_sums(field_new(2)) == (0, 0, 16)
     assert weighted_char_sums(field_new(5)) == (0, 0, 4)
     assert weighted_char_sums(field_new(3)) == (0, 0, 48)
+
+
+def test_power_sums_exact_past_int64():
+    # sum n^2 over n < 2^24 is about 2^70; int64 sums over n itself wrap
+    length = 1 << 24
+    assert _power_sums(np.ones(length, dtype=np.int8)) == (
+        length,
+        (length - 1) * length // 2,
+        (length - 1) * length * (2 * length - 1) // 6,
+    )
 
 
 def test_weighted_sums_vanish_broadly():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadcorr import cli, corrsum, selfcheck
+from quadcorr import cli, corrsum, quadfield, selfcheck
 from quadcorr.cli import main
 
 
@@ -208,9 +208,23 @@ def test_verify_validates_before_any_check(capsys, monkeypatch, flag, value):
     def first_check_ran(*args, **kwargs):
         raise AssertionError("a check ran before the arguments were validated")
 
-    monkeypatch.setattr(selfcheck, "check_squarefree", first_check_ran)
+    monkeypatch.setattr(selfcheck, "field_new", first_check_ran)
     code, out, err = run(capsys, "verify", flag, value)
     assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+# past quadfield.MAX_DELTA: a prime, a square (refused, not reported as not
+# squarefree), and a d = 3 mod 4 below the limit whose Delta = 4d is above it
+@pytest.mark.parametrize("d", ["1000000000039", "4000000000000", "30000003"])
+def test_oversized_field_refused_before_factoring(capsys, monkeypatch, d):
+    def factored(d):
+        raise AssertionError("d was factored before the Delta guard")
+
+    monkeypatch.setattr(quadfield, "check_squarefree", factored)
+    assert (int(d) if int(d) % 4 == 1 else 4 * int(d)) > quadfield.MAX_DELTA
+    code, out, err = run(capsys, "constant", "--d", d)
+    assert code == 3
     assert out == "" and err.startswith("error: ")
 
 
@@ -279,7 +293,7 @@ def _mostly(values):
 
 
 _SMALL = _mostly(st.integers(-3, 40).map(str))
-_D = _mostly(st.integers(-2, 45).map(str))
+_D = _mostly(st.integers(-2, 45).map(str) | st.just("1000000000039"))
 _FLAGS = {
     "constant": {"--d": _D},
     "chi": {"--d": _D, "--n": _SMALL, "--limit": _SMALL},

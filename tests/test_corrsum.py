@@ -533,6 +533,19 @@ def test_grid_from_a_larger_table(d):
     assert (correlation_grid(field, 12, table=table) == correlation_grid(field, 12)).all()
 
 
+# a table short of xmax on either side, or with an irrational side, lacks cells
+# the grid needs: from (10, 10), N(15, 15) would read 964, not 1924
+@pytest.mark.parametrize("v1, v2, xmax", [
+    (10, 10, 15), (30, 10, 15), (10, 30, 15), (30, InvSqrtBound(2, Fraction(1, 900)), 12),
+])
+def test_grid_refuses_a_table_short_of_xmax(v1, v2, xmax):
+    field = field_new(2)
+    assert correlation(field, 15, 15).n_value == 1924
+    table = build_rep_table(field, v1, v2)
+    with pytest.raises(OutOfRange):
+        correlation_grid(field, xmax, table=table)
+
+
 def _reference_oracle(field, v1, v2, *, include_lambda_zero=True):
     """The group-sum oracle's loop before the per-lambda weights: the box
     test and r(lambda + 1) decided again for every quadruple."""

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import isqrt
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcorr import (
@@ -12,6 +14,7 @@ from quadcorr import (
     RingClass,
     field_new,
 )
+from quadcorr.quadfield import check_squarefree
 
 
 def make_elem(field, p, q):
@@ -40,6 +43,51 @@ def test_field_new_examples():
         field_new(1)
     with pytest.raises(OutOfRange):
         field_new(0)
+
+
+def _reference_prime_divisors(d):
+    """The prime divisors of d by a sieve: divide by each prime up to
+    isqrt(d), then check that no exponent passes 1."""
+    sieve = np.ones(isqrt(d) + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(isqrt(d)) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    factors = []
+    rest = d
+    for p in np.flatnonzero(sieve).tolist():
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors.append((p, e))
+    if rest > 1:
+        factors.append((rest, 1))
+    for p, e in factors:
+        if e > 1:
+            raise NotSquarefree(f"{d} is divisible by {p}^2")
+    return [p for p, _ in factors]
+
+
+# p^2, 2 p^2 and p q for the primes 9973 and 10007, and the largest prime
+# below MAX_DELTA
+@given(st.integers(min_value=2, max_value=10**8))
+@example(9973**2)
+@example(2 * 9973**2)
+@example(9973 * 10007)
+@example(113025431)
+@settings(max_examples=200)
+def test_trial_division_matches_sieve(d):
+    try:
+        want = _reference_prime_divisors(d)
+    except NotSquarefree:
+        with pytest.raises(NotSquarefree):
+            check_squarefree(d)
+    else:
+        assert check_squarefree(d) == want
 
 
 def test_ring_op_examples():
