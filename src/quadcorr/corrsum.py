@@ -44,8 +44,9 @@ from .quadfield import FieldData, QuadInt, RingClass, sign_quad
 DEFAULT_MEMORY_BUDGET = 2 << 30
 MEMORY_BUDGET_ENV = "QUADCORR_MEM_BUDGET"
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
-# largest value of an int32 table cell
+# largest value of an int32 table cell, and of a uint16 one
 _CELL_LIMIT = 2**31 - 1
+_NARROW_CELL_LIMIT = 2**16 - 1
 # bytes per row: the row metadata (48) plus the peak of an int64 edge pass
 # over all rows (measured at most 96)
 _ROW_BYTES = 160
@@ -274,9 +275,10 @@ def _memory_budget(explicit: int | None) -> int:
 class RepTable:
     """Dense ragged table of r-values over the closed extended window.
 
-    counts are kept per row i as a contiguous int32 slice covering
+    counts are kept per row i as a contiguous slice covering
     j = y0[i], y0[i]+2, ..., y0[i]+2*(klen[i]-1); rows are glued into one
-    flat array. In symmetric mode (only for V1 = V2) just the j >= 0 half
+    flat array, uint16 when _build proves every count fits and int32
+    otherwise. In symmetric mode (only for V1 = V2) just the j >= 0 half
     is stored and negative j is answered through r(lam) = r(lam^sigma).
     """
 
@@ -353,7 +355,8 @@ class RepTable:
 
     def _check_budget(self, memory_budget: int | None, min_cells: int | None = None) -> None:
         """Refuse when the rows and cells known so far, or min_cells cells
-        alone when given, need more than the budget."""
+        alone when given, need more than the budget. A cell is charged the
+        4 bytes of int32, an upper bound for a table _build makes uint16."""
         budget = _memory_budget(memory_budget)
         if min_cells is not None:
             need = min_cells * 4
@@ -393,13 +396,18 @@ class RepTable:
         # for a fixed t the partners hit distinct cells, adding at most 8 to each
         if 8 * n_pts > _CELL_LIMIT:
             raise CapacityExceeded(f"{n_pts} square points could overflow 32-bit cell counters")
+        # a pair {t, s} on a cell of row i <= imax has a member t with 2 i_t <= imax,
+        # and t fixes s; each pair adds at most 8, so no cell passes 8 m, m the
+        # points with 2 i <= imax
+        narrow = 8 * int(np.count_nonzero(2 * si <= self.imax)) <= _NARROW_CELL_LIMIT
+        dtype = np.uint16 if narrow else np.int32
         order = np.lexsort((sj, si))
-        si, sj, sw = si[order], sj[order], sw[order].astype(np.int32)
+        si, sj, sw = si[order], sj[order], sw[order].astype(dtype)
         # the partners s >= t of t that stay within row imax are s in [t, cut[t]);
         # cut falls as t rises, so the t with any partner come first
         cut = np.searchsorted(si, self.imax - si, side="right")
         y0, yhi, off = self.y0, self.yhi, self._offsets()
-        flat = np.zeros(self.cells, dtype=np.int32)
+        flat = np.zeros(self.cells, dtype=dtype)
         for t in range(int(np.count_nonzero(cut > np.arange(n_pts)))):
             c = int(cut[t])
             ii = si[t:c] + si[t]

@@ -17,9 +17,9 @@ d is factored or any table allocated; below it, trial division is fast.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt, sqrt
 
 import numpy as np
@@ -31,6 +31,9 @@ from .errors import CapacityExceeded, FieldMismatch, InvalidElement, NotSquarefr
 # Delta = d), so this is the largest Delta whose build stays under corrsum's
 # default 2 GiB memory budget.
 MAX_DELTA = (2 << 30) // 19
+# field_new keeps the fields whose chi tables fit in one table at the limit
+# together, so a walk over many large fields holds one such table, not dozens
+_FIELD_CACHE_BYTES = MAX_DELTA
 
 
 class RingClass(Enum):
@@ -183,10 +186,25 @@ class FieldData:
         return QuadInt(self, 1, -1)
 
 
-@lru_cache(maxsize=128)
+_fields: OrderedDict[int, FieldData] = OrderedDict()  # least recently used first
+_fields_bytes = 0  # the bytes of their chi tables
+
+
 def field_new(d: int) -> FieldData:
-    """Validated field data for squarefree d > 1, with the full character table."""
-    return FieldData(d)
+    """Validated field data for squarefree d > 1, with the full character table.
+
+    Fields are cached; once their chi tables pass _FIELD_CACHE_BYTES together,
+    the least recently used are dropped until they fit or one is left.
+    """
+    global _fields_bytes
+    field = _fields.pop(d, None)
+    if field is None:
+        field = FieldData(d)
+        _fields_bytes += field.chi_values.nbytes
+    _fields[d] = field
+    while _fields_bytes > _FIELD_CACHE_BYTES and len(_fields) > 1:
+        _fields_bytes -= _fields.popitem(last=False)[1].chi_values.nbytes
+    return field
 
 
 class QuadInt:

@@ -7,6 +7,7 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from quadcorr import (
     InvSqrtBound,
@@ -179,18 +180,22 @@ def test_criterion_8_c_bounds_to_ten_thousand():
     report(8, "C_D bounds", elapsed, f"{count} squarefree d")
 
 
-def test_criterion_9_asymptotic_sanity():
+@pytest.mark.parametrize("d", [2, 3, 5, 17])  # one field per class mod 8
+def test_criterion_9_asymptotic_sanity(d):
     start = time.time()
-    field = field_new(2)
+    field = field_new(d)
+    c = c_constant(field)
     grid = correlation_grid(field, 5000)
     vs = np.arange(1, 5001, dtype=np.int64)
-    dev = np.abs(grid[1:] - 8 * vs * vs).astype(np.float64)
+    # |N - C_d V^2| from exact integers, N den - num V^2 well inside int64
+    dev = np.abs(grid[1:] * c.denominator - c.numerator * vs * vs) / c.denominator
     scaled = dev / vs.astype(np.float64) ** 1.5
     assert scaled.max() <= 10.0
-    ratio = grid[2000:] / (8.0 * np.arange(2000, 5001, dtype=np.float64) ** 2)
+    ratio = grid[2000:] * c.denominator / (
+        c.numerator * np.arange(2000, 5001, dtype=np.float64) ** 2)
     assert 0.9 <= ratio.min() and ratio.max() <= 1.1
     elapsed = time.time() - start
-    report(9, "asymptotic sanity", elapsed,
+    report(9, f"asymptotic sanity, d = {d}", elapsed,
            f"max scaled dev {scaled.max():.3f}, ratio in "
            f"[{ratio.min():.4f}, {ratio.max():.4f}]")
 

@@ -354,6 +354,44 @@ def test_cell_overflow_guard(monkeypatch):
         build_rep_table(field, 60, 60)
 
 
+def _narrow_points(table):
+    """m, the square points with 2 i <= imax: no cell passes 8 m."""
+    return int(np.count_nonzero(2 * table._square_points()[0] <= table.imax))
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+@example(d=5, symmetric=True, data=None)
+def test_cell_width_follows_the_proven_bound(d, symmetric, data):
+    field = field_new(d)
+    if data is None:  # table scale
+        v1 = v2 = Fraction(3001, 2)
+    elif symmetric:
+        v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
+    else:
+        v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
+    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    m = _narrow_points(table)
+    assert int(table.flat.max()) <= 8 * m
+    narrow = 8 * m <= corrsum._NARROW_CELL_LIMIT
+    assert table.flat.dtype == (np.uint16 if narrow else np.int32)
+
+
+def test_narrow_cell_limit_picks_the_width(monkeypatch):
+    # uint16 exactly when 8 m fits under the limit; both widths hold the same table
+    field = field_new(5)
+    m = _narrow_points(build_rep_table(field, 60, 60))
+    built = {}
+    for limit, dtype in ((8 * m, np.uint16), (8 * m - 1, np.int32)):
+        monkeypatch.setattr(corrsum, "_NARROW_CELL_LIMIT", limit)
+        table = build_rep_table(field, 60, 60)
+        assert table.flat.dtype == dtype
+        built[dtype] = (table.flat, correlation(field, 60, 60, table=table).n_value,
+                        correlation_grid(field, 60, table=table))
+    (flat_a, n_a, grid_a), (flat_b, n_b, grid_b) = built.values()
+    assert (flat_a == flat_b).all() and n_a == n_b and (grid_a == grid_b).all()
+
+
 def test_wide_edge_rows_charged_before_the_work():
     # a large denominator puts the row edges on Python ints, which cost more
     # per row than the int64 path; the guard must charge that before any row exists
@@ -445,7 +483,7 @@ def test_grid_exact_past_float_precision():
     plain = correlation_grid(field, 20, table=table)
     c = 2**25 + 1
     assert int(table.flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
-    table.flat *= c
+    table.flat = table.flat.astype(np.int32) * c  # cells at a wide table's scale
     assert (correlation_grid(field, 20, table=table) == plain * (c * c)).all()
 
 
@@ -501,7 +539,7 @@ def test_correlation_exact_past_int64():
     # doubled), so the products of one band sum far past 2^63
     field = field_new(2)
     table = build_rep_table(field, 40, 40)
-    table.flat[:] = table.flat > 0
+    table.flat = (table.flat > 0).astype(np.int32)  # a wide table's cells
     ones = correlation(field, 40, 40, table=table).n_value
     table.flat *= 2**31 - 1
     big = correlation(field, 40, 40, table=table).n_value

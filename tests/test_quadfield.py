@@ -1,3 +1,4 @@
+from collections import OrderedDict
 from fractions import Fraction
 from math import isqrt
 
@@ -14,6 +15,7 @@ from quadcorr import (
     RingClass,
     field_new,
 )
+from quadcorr import quadfield
 from quadcorr.quadfield import check_squarefree
 
 
@@ -229,3 +231,20 @@ def test_pow():
     u = f2.from_xy(1, 1)
     assert u ** 0 == f2.one()
     assert u ** 3 == u * u * u
+
+
+def test_field_cache_drops_least_recently_used(monkeypatch):
+    # Delta = 8, 5, 12, 13, 44 for d = 2, 5, 3, 13, 11
+    monkeypatch.setattr(quadfield, "_fields", OrderedDict())
+    monkeypatch.setattr(quadfield, "_fields_bytes", 0)
+    monkeypatch.setattr(quadfield, "_FIELD_CACHE_BYTES", 30)
+    f2, f5, _ = field_new(2), field_new(5), field_new(3)
+    assert field_new(2) is f2  # a hit makes d = 2 the most recent
+    field_new(13)  # 38 bytes: drops 5, then 3
+    assert list(quadfield._fields) == [2, 13] and quadfield._fields_bytes == 21
+    assert field_new(5) is not f5 and field_new(5) == f5  # rebuilt
+    with pytest.raises(NotSquarefree):
+        field_new(12)
+    assert list(quadfield._fields) == [2, 13, 5]
+    field_new(11)  # alone past the cap, it is kept alone
+    assert list(quadfield._fields) == [11] and quadfield._fields_bytes == 44
