@@ -19,16 +19,7 @@ from .corrsum import (
     f_deviation,
     g_value,
 )
-from .errors import (
-    CapacityExceeded,
-    DepthExceeded,
-    InvalidElement,
-    NotSquarefree,
-    OutOfRange,
-    QuadcorrError,
-    ScaleGuard,
-    WrongCongruenceClass,
-)
+from .errors import CapacityExceeded, DepthExceeded, OutOfRange, QuadcorrError, ScaleGuard
 from .hilbertgroup import coset_bfs
 from .quadfield import field_new
 from .repcount import RCOUNT_STEP_LIMIT, enumeration_steps, r_brute, r_sym
@@ -37,13 +28,6 @@ from .selfcheck import run_verification
 C_TABLE_DS = [2, 3, 5, 6, 7, 101, 1001, 10001, 100001, 1000001]
 G_TABLE_VS = [10000, 20000, 30000, 40000, 50000]
 
-_VALIDATION_ERRORS = (
-    NotSquarefree,
-    OutOfRange,
-    InvalidElement,
-    WrongCongruenceClass,
-    ValueError,
-)
 _GUARD_ERRORS = (CapacityExceeded, ScaleGuard, DepthExceeded)
 
 
@@ -228,6 +212,8 @@ def _cmd_table_f(args) -> int:
 def _cmd_table_g(args) -> int:
     field = field_new(args.d)
     vs = args.v if args.v else G_TABLE_VS
+    if any(v <= 1 for v in vs):  # before the first table is built
+        raise OutOfRange("g_ratio needs v > 1")
     include = not args.exclude_lambda_zero
     body = []
     lines = []
@@ -371,10 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except QuadcorrError as exc:
+    except (QuadcorrError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,10 +12,11 @@ otherwise. The stored window for box bounds (V1, V2) is the closed region
 
 so every lambda + 1 needed by the correlation is present; as lambda - 1 is
 the cell (i - sigma, j), the upper edges are the box's own, sigma rows down.
-Box membership in the correlation itself is half-open (0 <= lambda < V1,
-0 <= lambda^sigma < V2) and decided by exact integer sign tests; lambda = 0
-is included by default. N and the integer grid behind F take the products
-r(lambda) r(lambda + 1) from one banded walk over the stored cells.
+N and the integer grid behind F take the products r(lambda) r(lambda + 1)
+from one banded walk over the stored cells: the closed box 0 <= lambda <= V1,
+0 <= lambda^sigma <= V2. The correlation's box is half-open (lambda < V1,
+lambda^sigma < V2), so N is the walk's sum minus at most one cell on j = 0,
+decided by exact integer sign tests; lambda = 0 is included by default.
 
 All bookkeeping is integer-exact. The window edges of every trace row come
 from one closed form, the largest j with j m sqrt(d) <= R, which is
@@ -51,9 +52,9 @@ _NARROW_CELL_LIMIT = 2**16 - 1
 # over all rows (measured at most 96)
 _ROW_BYTES = 160
 # bytes per row when the edges need Python ints: the peak of the table build
-# and its strict edge pass, measured under tracemalloc at most 214 plus 12 per
-# 30-bit digit of the largest |R| (d in {2, 3, 5, 7, 13, 17}, denominators
-# 10^9 to 10^400)
+# and of the strict edge pass it once had, at most 214 plus 12 per 30-bit digit
+# of the largest |R| under tracemalloc (d in {2, 3, 5, 7, 13, 17}, denominators
+# 10^9 to 10^400); kept as an upper bound, so that no refusal point moves
 _WIDE_ROW_BYTES = 240
 _DIGIT_BYTES = 12
 # cells per band of the product walk
@@ -178,12 +179,11 @@ def _isqrt(x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _floor_div_sqrt(r: np.ndarray, m: int, d: int, strict: bool) -> np.ndarray:
-    """Largest j with j m sqrt(d) <= r (< r when strict), elementwise. For
-    r != 0 the ratio r / (m sqrt d) is irrational, so only r = 0 tells strict
-    from closed."""
+def _floor_div_sqrt(r: np.ndarray, m: int, d: int) -> np.ndarray:
+    """Largest j with j m sqrt(d) <= r, elementwise. For r != 0 the ratio
+    r / (m sqrt d) is irrational, so the floor of a negative one is -q - 1."""
     q = _isqrt(r * r // (m * m * d))
-    return np.where(r > 0, q, np.where(r < 0, -q - 1, -1 if strict else 0))
+    return np.where(r >= 0, q, -q - 1)
 
 
 def _edge_plan(bound: Bound, imax: int, sigma: int) -> tuple[int, int, bool, int]:
@@ -198,26 +198,26 @@ def _edge_plan(bound: Bound, imax: int, sigma: int) -> tuple[int, int, bool, int
     return a, m, exact, top.bit_length() // 30 + 1 if wide else 0
 
 
-def _max_j(bound: Bound, i: np.ndarray, sigma: int, strict: bool) -> np.ndarray:
-    """Largest j with bound >= (i + j sqrt d)/sigma (or > when strict), for
-    every row of the integer array i at once."""
+def _max_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
+    """Largest j with bound >= (i + j sqrt d)/sigma, for every row of the
+    integer array i at once."""
     d = bound.d
     a, m, exact, digits = _edge_plan(bound, int(np.abs(i).max(initial=0)), sigma)
     # j m sqrt(d) <= R with R = a - m i, at the lower end of the bracket
     r = a - m * i.astype(object if digits else np.int64)
-    j = _floor_div_sqrt(r, m, d, strict)
+    j = _floor_div_sqrt(r, m, d)
     if not exact:
-        upper = _floor_div_sqrt(r + 1, m, d, strict)
+        upper = _floor_div_sqrt(r + 1, m, d)
         for row in np.flatnonzero(upper != j):  # they differ by one at most
             p, q = _doubled(int(i[row]), int(upper[row]), sigma)
-            if bound.allows(p, q, strict):
+            if bound.allows(p, q, False):
                 j[row] = upper[row]
     return j
 
 
-def _min_j(bound: Bound, i: np.ndarray, sigma: int, strict: bool) -> np.ndarray:
-    """Smallest j with bound >= (i - j sqrt d)/sigma (or > when strict), per row."""
-    return -_max_j(bound, i, sigma, strict)
+def _min_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
+    """Smallest j with bound >= (i - j sqrt d)/sigma, per row."""
+    return -_max_j(bound, i, sigma)
 
 
 def _snap_up(j: int, parity: int) -> int:
@@ -328,10 +328,10 @@ class RepTable:
         d = self.field.d
         sigma = self.sigma
         i = np.arange(self.imax + 1, dtype=np.int64)
-        top = _floor_div_sqrt(i, 1, d, strict=False)  # lambda, lambda^sigma >= 0
+        top = _floor_div_sqrt(i, 1, d)  # lambda, lambda^sigma >= 0
         # lambda - 1 is the cell (i - sigma, j): lambda <= v1 + 1 is lambda - 1 <= v1
-        hi = np.minimum(top, _max_j(self.v1, i - sigma, sigma, strict=False))
-        lo = np.maximum(-top, _min_j(self.v2, i - sigma, sigma, strict=False))
+        hi = np.minimum(top, _max_j(self.v1, i - sigma, sigma))
+        lo = np.maximum(-top, _min_j(self.v2, i - sigma, sigma))
         filled = np.flatnonzero(hi >= lo)
         if not len(filled):
             raise OutOfRange("empty window")
@@ -474,7 +474,7 @@ def build_rep_table(field: FieldData, v1, v2, *, symmetric: bool | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Correlation over the strict box.
+# Correlation over the half-open box.
 # ---------------------------------------------------------------------------
 
 
@@ -531,14 +531,13 @@ def _products(table: RepTable, include_lambda_zero: bool):
         yield i, j, prods
 
 
-def _strict_row_range(table: RepTable) -> tuple[np.ndarray, np.ndarray]:
-    """Edges (lo, hi) of the half-open box in every row 0..imax."""
-    sigma = table.sigma
-    i = np.arange(table.imax + 1, dtype=np.int64)
-    top = _floor_div_sqrt(i, 1, table.field.d, strict=False)
-    hi = np.minimum(top, _max_j(table.v1, i, sigma, strict=True))
-    lo = np.maximum(-top, _min_j(table.v2, i, sigma, strict=True))
-    return lo, hi
+def _strict_row_range(table: RepTable) -> int | None:
+    """Row i of the one cell (i, 0) of the closed box outside the half-open
+    box, or None. Off j = 0 no window cell meets an edge, and on j = 0 both
+    embeddings are i/sigma, so only i = floor(sigma min(V1, V2)) can."""
+    i = min(a // m for a, m, _ in (b.bracket(table.sigma, 1) for b in (table.v1, table.v2)))
+    p, q = _doubled(i, 0, table.sigma)
+    return None if table.v1.allows(p, q, True) and table.v2.allows(p, q, True) else i
 
 
 def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
@@ -553,14 +552,14 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         want2 = make_bound(field, v2).describe()
         if table.v1.describe() != want1 or table.v2.describe() != want2:
             raise OutOfRange("supplied table was built for different bounds")
-    lo, hi = _strict_row_range(table)
     total = 0
-    for i, j, prods in _products(table, include_lambda_zero):
-        # a symmetric box is symmetric in j, so a doubled product's mirror is in it too
-        p = prods[(j >= lo[i]) & (j <= hi[i])]
+    for _, _, p in _products(table, include_lambda_zero):
         # exact in int64: a product is below 2^63, so each part is below 2^32,
         # summed over at most 2^14 cells
         total += int((p & ((1 << 31) - 1)).sum()) + (int((p >> 31).sum()) << 31)
+    edge = _strict_row_range(table)
+    if edge is not None:  # the closed box's cell on an edge of the half-open one
+        total -= table.lookup(edge, 0) * table.lookup(edge + table.sigma, 0)
 
     c = c_constant(field)
     main = float(c) * float(table.v1) * float(table.v2)
@@ -668,12 +667,9 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
 
 def g_value(res: CorrelationResult, v) -> float:
     """G(v) = N_D(v, v**(-1/2)) / (C_D sqrt(v)) from the correlation result
-    for that box, for rational v > 1."""
-    v = Fraction(v)
-    if v <= 1:
-        raise OutOfRange("g_ratio needs v > 1")
+    for that box; its callers check v > 1 before the box is built."""
     c = Fraction(res.c_num, res.c_den)
-    return res.n_value / (float(c) * sqrt(v))
+    return res.n_value / (float(c) * sqrt(Fraction(v)))
 
 
 def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,

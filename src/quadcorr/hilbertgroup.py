@@ -364,6 +364,22 @@ def _random_word(rng: random.Random, field: FieldData, factories, length: int) -
     return m
 
 
+def _gamma_factories(field: FieldData, span: int) -> list:
+    """Random Gamma generators T_{2u}, the lower translation by 2u, and S,
+    with u drawn by _random_element over span, in the order words draw them."""
+
+    def rnd_t2(r: random.Random) -> MatO:
+        return MatO.translation(_random_element(r, field, span) * 2)
+
+    def rnd_l2(r: random.Random) -> MatO:
+        return MatO.lower_translation(_random_element(r, field, span) * 2)
+
+    def rnd_s(r: random.Random) -> MatO:
+        return MatO.s_matrix(field)
+
+    return [rnd_t2, rnd_l2, rnd_s]
+
+
 def verify_conjugation(field: FieldData, samples: int = 100,
                        seed: int = 0) -> ConjugationReport:
     """Sample random words of Gamma_0(2O) and Gamma and check both inclusions
@@ -379,17 +395,8 @@ def verify_conjugation(field: FieldData, samples: int = 100,
     def rnd_t(r: random.Random) -> MatO:
         return MatO.translation(_random_element(r, field, 3))
 
-    def rnd_l2(r: random.Random) -> MatO:
-        return MatO.lower_translation(_random_element(r, field, 3) * 2)
-
-    def rnd_t2(r: random.Random) -> MatO:
-        return MatO.translation(_random_element(r, field, 3) * 2)
-
-    def rnd_s(r: random.Random) -> MatO:
-        return MatO.s_matrix(field)
-
-    gamma0_factories = [rnd_t, rnd_l2]
-    gamma_factories = [rnd_t2, rnd_l2, rnd_s]
+    gamma_factories = _gamma_factories(field, 3)
+    gamma0_factories = [rnd_t, gamma_factories[1]]
 
     into_gamma = 0
     into_gamma0 = 0
@@ -447,16 +454,7 @@ def random_m_elements(field: FieldData, count: int, seed: int = 0,
     out = [q.to_matrix() for q in
            random_cayley_quadruples(field, n_quad, seed=rng.randrange(1 << 30))]
 
-    def rnd_t2(r: random.Random) -> MatO:
-        return MatO.translation(_random_element(r, field, 2) * 2)
-
-    def rnd_l2(r: random.Random) -> MatO:
-        return MatO.lower_translation(_random_element(r, field, 2) * 2)
-
-    def rnd_s(r: random.Random) -> MatO:
-        return MatO.s_matrix(field)
-
-    factories = [rnd_t2, rnd_l2, rnd_s]
+    factories = _gamma_factories(field, 2)
     while len(out) < count:
         m = _random_word(rng, field, factories, rng.randint(1, 6))
         if max(abs(e.p) for e in m.entries()) > 1 << 40:

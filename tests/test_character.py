@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcorr import (
@@ -36,6 +36,7 @@ def test_kronecker_examples():
 @given(st.sampled_from(squarefree_up_to(60)),
        st.integers(min_value=1, max_value=500),
        st.integers(min_value=1, max_value=500))
+@settings(max_examples=100, deadline=None)
 def test_kronecker_multiplicative_and_periodic(d, m, n):
     delta = field_new(d).delta
     assert kronecker(delta, m * n) == kronecker(delta, m) * kronecker(delta, n)

@@ -125,6 +125,17 @@ def test_table_g_small(capsys):
     assert row["n_value"] >= 0
 
 
+@pytest.mark.parametrize("vs", [["20000", "1"], ["1", "100"], ["0"]])
+def test_table_g_checks_every_v_before_the_first_table(capsys, monkeypatch, vs):
+    def table_built(self):
+        raise AssertionError("a table was built before every --v was checked")
+
+    monkeypatch.setattr(corrsum.RepTable, "_compute_rows", table_built)
+    code, out, err = run(capsys, "table-g", "--d", "2", "--v", *vs)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_table_f_small(capsys):
     code, payload, _ = run_json(capsys, "table-f", "--d", "2", "--xmax", "50",
                                 "--checkpoints", "25", "50")

@@ -283,9 +283,9 @@ def _edge_rows(draw):
     return np.arange(start, start + draw(st.integers(1, 40)), dtype=np.int64)
 
 
-@given(st.sampled_from(RING_DS), st.booleans(), st.integers(0, 3), st.data())
+@given(st.sampled_from(RING_DS), st.integers(0, 3), st.data())
 @settings(max_examples=300, deadline=None)
-def test_edges_match_definition(d, strict, k, data):
+def test_edges_match_definition(d, k, data):
     """The edges of bound + k, as the window takes them: the edges of bound
     on the rows shifted down by k sigma, since lambda - k is (i - k sigma, j)."""
     sigma = _sigma(d)
@@ -294,14 +294,14 @@ def test_edges_match_definition(d, strict, k, data):
 
     def ok(i, j):  # bound + k >= (i + j sqrt d)/sigma
         p, q = _doubled(i, j, sigma)
-        return bound.allows(p - 2 * k, q, strict)
+        return bound.allows(p - 2 * k, q, False)
 
     c = bound.ceil()  # the row cap rests on it: bound <= c < bound + 1
     assert not bound.allows(2 * c, 0, True) and bound.allows(2 * c - 2, 0, True)
 
     shifted = rows - k * sigma
-    for i, hi, lo in zip(rows.tolist(), _max_j(bound, shifted, sigma, strict).tolist(),
-                         _min_j(bound, shifted, sigma, strict).tolist()):
+    for i, hi, lo in zip(rows.tolist(), _max_j(bound, shifted, sigma).tolist(),
+                         _min_j(bound, shifted, sigma).tolist()):
         assert ok(i, hi) and not ok(i, hi + 1), (i, hi)
         assert ok(i, -lo) and not ok(i, -(lo - 1)), (i, lo)
 
@@ -316,13 +316,15 @@ def test_int64_isqrt_near_squares():
 @pytest.mark.parametrize("d", RING_DS)
 def test_strict_and_closed_edges_differ_on_lattice_bound(d):
     # V^(-1/2) = sqrt(d)/sigma is the lattice point (0, 1), and 1 + V^(-1/2) is
-    # (sigma, 1), which the window's edges find on row sigma shifted by sigma
+    # (sigma, 1), which the window's closed edges find on row sigma shifted by
+    # sigma; only the strict test leaves that edge cell out
     sigma = _sigma(d)
     bound = InvSqrtBound(d, Fraction(sigma**2, d))
     for row, shift in ((0, 0), (sigma, sigma)):
         rows = np.array([row], dtype=np.int64) - shift
-        assert _max_j(bound, rows, sigma, strict=False)[0] == 1
-        assert _max_j(bound, rows, sigma, strict=True)[0] == 0
+        assert _max_j(bound, rows, sigma)[0] == 1
+        p, q = _doubled(row - shift, 1, sigma)
+        assert bound.allows(p, q, False) and not bound.allows(p, q, True)
 
 
 @given(st.sampled_from(RING_DS), st.data())
@@ -503,8 +505,18 @@ def _reference_correlation(table, include_lambda_zero):
         return sum(int(np.dot(flat[a:a + n], flat[b:b + n]))
                    for a, b, n in zip(a0.tolist(), b0.tolist(), ln.tolist()))
 
-    lo, hi = corrsum._strict_row_range(table)
+    # the half-open box's edges per row: the closed edges, each moved one step
+    # inward where the edge cell lies on the bound itself
+    sigma = table.sigma
     rows = np.arange(table.imax + 1, dtype=np.int64)
+    top = corrsum._floor_div_sqrt(rows, 1, table.field.d)
+    hi = np.minimum(top, _max_j(table.v1, rows, sigma))
+    lo = np.maximum(-top, _min_j(table.v2, rows, sigma))
+    for i in rows.tolist():
+        p, q = _doubled(i, int(hi[i]), sigma)
+        hi[i] -= not table.v1.allows(p, q, True)
+        p, q = _doubled(i, int(lo[i]), sigma)
+        lo[i] += not table.v2.allows(p, -q, True)
     par = table._parity(rows)
     lo = corrsum._snap_up(lo, par)
     hi = corrsum._snap_down(hi, par)
@@ -656,6 +668,50 @@ def test_oracle_matches_reference_loop(d, include_zero, data):
     got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
     assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
     assert got == correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+
+
+@pytest.mark.parametrize("d", RING_DS)
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_inv_sqrt_bound_on_a_row_matches_oracle(d, include_zero):
+    """1**(-1/2) = 1 and (1/9)**(-1/2) = 3 put a V^(-1/2) edge on the cell
+    (sigma V, 0), alone or tied with the rational side, in either slot."""
+    field = field_new(d)
+    for w in (Fraction(1), Fraction(1, 9)):
+        for q in (Fraction(3), Fraction(7, 2)):
+            for v1, v2 in ((InvSqrtBound(d, w), q), (q, InvSqrtBound(d, w))):
+                got = correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+                assert got == correlation_group_oracle(
+                    field, v1, v2, include_lambda_zero=include_zero), (w, q)
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_closed_and_half_open_boxes_differ_in_one_axis_cell(d):
+    """correlation sums the closed box and subtracts one cell: every window
+    cell in the closed box but not the half-open one is (i*, 0), with i* the
+    last row whose axis cell is in the closed box, i* = floor(sigma min(V1, V2))."""
+    field, sigma = field_new(d), _sigma(d)
+    bounds = [Fraction(3), Fraction(7, 2), Fraction(10, 3), InvSqrtBound(d, Fraction(1)),
+              InvSqrtBound(d, Fraction(1, 9)), InvSqrtBound(d, Fraction(1, 5)),
+              InvSqrtBound(d, Fraction(sigma**2, d))]  # the last is the cell (0, 1)
+    on_edge = 0
+    for v1 in bounds:
+        for v2 in bounds:
+            table = build_rep_table(field, v1, v2)
+
+            def inside(i, j, strict):
+                p, q = _doubled(i, j, sigma)
+                return table.v1.allows(p, q, strict) and table.v2.allows(p, -q, strict)
+
+            i_star = max(i for i in range(table.imax + 1) if inside(i, 0, False))
+            edge = [(i, j) for i in range(table.imax + 1)
+                    for j in range(int(table.jlo_full[i]), int(table.jhi_full[i]) + 1)
+                    if (j - i) % sigma == 0 and inside(i, j, False)
+                    and not inside(i, j, True)]
+            assert edge in ([], [(i_star, 0)]), (v1, v2, edge)
+            want = None if inside(i_star, 0, True) else i_star
+            assert corrsum._strict_row_range(table) == want, (v1, v2)
+            on_edge += want is not None
+    assert on_edge >= 9
 
 
 @given(st.sampled_from(RING_DS), st.booleans(), st.data())

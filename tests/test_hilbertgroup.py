@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from quadcorr import (
     u_numeric,
     verify_conjugation,
 )
+from quadcorr import hilbertgroup
 from quadcorr.hilbertgroup import _random_element
 
 
@@ -210,6 +212,31 @@ def test_verify_conjugation_passes(d):
     report = verify_conjugation(field_new(d), samples=100)
     assert report.all_passed
     assert report.samples == 100
+
+
+def _digest(matrices):
+    entries = [tuple((e.p, e.q) for e in m.entries()) for m in matrices]
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
+def test_sampled_words_are_pinned(monkeypatch):
+    """The seeded samplers draw the same words as when they were recorded:
+    the generator factories and their order fix the rng calls."""
+    ms = random_m_elements(field_new(2), 20, seed=7)
+    assert [(e.p, e.q) for e in ms[0].entries()] == [(6, 0), (4, -10), (4, -2), (10, -8)]
+    assert _digest(ms) == "f8c19ba26e3fece7bdd22d41212ccf9aa81f0ebcbbe9091396f907ff03fdc22e"
+
+    words = []
+    draw = hilbertgroup._random_word
+
+    def recorded(*args):
+        words.append(draw(*args))
+        return words[-1]
+
+    monkeypatch.setattr(hilbertgroup, "_random_word", recorded)
+    report = verify_conjugation(field_new(3), samples=50)
+    assert (report.into_gamma_ok, report.into_gamma0_ok) == (50, 50) and len(words) == 100
+    assert _digest(words) == "7da83a2eb8807d272817fd8d74140421daeb92942d1bdd63d16ed875caf531c7"
 
 
 def test_verify_conjugation_rejects_5_mod_8():

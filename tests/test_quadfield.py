@@ -81,7 +81,7 @@ def _reference_prime_divisors(d):
 @example(2 * 9973**2)
 @example(9973 * 10007)
 @example(113025431)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_trial_division_matches_sieve(d):
     try:
         want = _reference_prime_divisors(d)
@@ -122,6 +122,7 @@ def test_parity_enforced_at_construction():
 
 
 @given(field_ds, small_ints, small_ints)
+@settings(max_examples=100, deadline=None)
 def test_parity_invariant_random(d, p, q):
     field = field_new(d)
     try:
@@ -144,6 +145,7 @@ def test_conj_examples():
 
 
 @given(field_ds, small_ints, small_ints, small_ints, small_ints)
+@settings(max_examples=100, deadline=None)
 def test_conj_is_ring_involution(d, p1, q1, p2, q2):
     field = field_new(d)
     a = make_elem(field, p1, q1)
@@ -166,6 +168,7 @@ def test_embed_examples():
 
 
 @given(field_ds, small_ints, small_ints)
+@settings(max_examples=100, deadline=None)
 def test_embed_trace_and_norm(d, p, q):
     field = field_new(d)
     a = make_elem(field, p, q)
@@ -184,6 +187,7 @@ def test_cmp_examples():
 
 @given(field_ds, small_ints, small_ints,
        st.fractions(min_value=-60, max_value=60, max_denominator=16))
+@settings(max_examples=100, deadline=None)
 def test_cmp_matches_float(d, p, q, bound):
     field = field_new(d)
     a = make_elem(field, p, q)
@@ -202,6 +206,7 @@ def test_in_two_o_examples():
 
 
 @given(field_ds, small_ints, small_ints)
+@settings(max_examples=100, deadline=None)
 def test_in_two_o_matches_halving(d, p, q):
     field = field_new(d)
     a = make_elem(field, p, q)
