@@ -48,8 +48,9 @@ ORACLE_QUADRUPLE_LIMIT = 10_000_000
 # largest value of an int32 table cell, and of a uint16 one
 _CELL_LIMIT = 2**31 - 1
 _NARROW_CELL_LIMIT = 2**16 - 1
-# bytes per row: the row metadata (48) plus the peak of an int64 edge pass
-# over all rows (measured at most 96)
+# bytes per row: the row record (24) plus the peak of an int64 edge pass
+# over all rows (measured at most 96); kept at 160 as an upper bound, so that
+# no refusal point moves
 _ROW_BYTES = 160
 # bytes per row when the edges need Python ints: the peak of the table build
 # and of the strict edge pass it once had, at most 214 plus 12 per 30-bit digit
@@ -275,11 +276,13 @@ def _memory_budget(explicit: int | None) -> int:
 class RepTable:
     """Dense ragged table of r-values over the closed extended window.
 
-    counts are kept per row i as a contiguous slice covering
-    j = y0[i], y0[i]+2, ..., y0[i]+2*(klen[i]-1); rows are glued into one
-    flat array, uint16 when _build proves every count fits and int32
-    otherwise. In symmetric mode (only for V1 = V2) just the j >= 0 half
-    is stored and negative j is answered through r(lam) = r(lam^sigma).
+    One record per row i: the stored j are y0[i], y0[i] + 2, ..., yhi[i]
+    (none when yhi[i] = y0[i] - 2), and their counts are the slice
+    flat[row_start[i]:row_start[i + 1]] of one flat array, uint16 when
+    _build proves every count fits and int32 otherwise. In symmetric mode
+    (only for V1 = V2) just the j >= 0 half is stored and negative j is
+    answered through r(lam) = r(lam^sigma). The window's cells of the
+    stored parity in row i are _window_lo(i), ..., yhi[i].
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
@@ -337,20 +340,13 @@ class RepTable:
             raise OutOfRange("empty window")
         n = int(filled[-1]) + 1
         self.imax = n - 1
-        self.jlo_full = lo[:n].astype(np.int64)
-        self.jhi_full = hi[:n].astype(np.int64)
-        del i, top, hi, lo
-
-        par = self._parity(np.arange(n, dtype=np.int64))
-        # symmetric storage keeps only j >= 0; the mirror half follows from conjugation
-        lo_p = _snap_up(par if self.symmetric else self.jlo_full, par)
-        hi_p = _snap_down(self.jhi_full, par)
-        empty = hi_p < lo_p
-        self.y0 = np.where(empty, 0, lo_p)
-        self.yhi = np.where(empty, -2, hi_p)
-        self.klen = np.where(empty, 0, (hi_p - lo_p) // 2 + 1)
+        # the window is convex and holds (0, 0), so lo <= hi + 1 and yhi >= y0 - 2;
+        # symmetric storage keeps only j >= 0, the mirror half follows from conjugation
+        par = self._parity(i[:n])
+        self.y0 = _snap_up(par if self.symmetric else lo[:n].astype(np.int64), par)
+        self.yhi = _snap_down(hi[:n].astype(np.int64), par)
         self.row_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.klen, out=self.row_start[1:])
+        np.cumsum((self.yhi - self.y0) // 2 + 1, out=self.row_start[1:])
         self.cells = int(self.row_start[-1])
 
     def _check_budget(self, memory_budget: int | None, min_cells: int | None = None) -> None:
@@ -387,7 +383,7 @@ class RepTable:
         sj = np.repeat(sigma * A * B // 2, 1 + twin)
         sj[np.cumsum(1 + twin)[twin] - 1] *= -1
         sw = np.where(si > 0, 2, 1)
-        inside = (self.jlo_full[si] <= sj) & (sj <= self.jhi_full[si])
+        inside = (self._window_lo(si) <= sj) & (sj <= self.yhi[si])
         return si[inside], sj[inside], sw[inside]
 
     def _build(self) -> None:
@@ -427,19 +423,23 @@ class RepTable:
         """off with the cell (i, j) of a stored row i at flat[(off[i] + j) >> 1]."""
         return 2 * self.row_start[:-1] - self.y0
 
-    def contains(self, i: int, j: int) -> bool:
-        return 0 <= i <= self.imax and bool(self.jlo_full[i] <= j <= self.jhi_full[i])
+    def _window_lo(self, i):
+        """The lowest window cell of the stored parity in row i (an int or an
+        int64 array); in symmetric storage the window is mirror-symmetric."""
+        return -self.yhi[i] if self.symmetric else self.y0[i]
 
     def lookup(self, i: int, j: int) -> int:
-        """r(lambda) for the cell (i, j); raises OutOfRange outside the window."""
-        if not self.contains(i, j):
-            raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
+        """r(lambda) for the cell (i, j) of a row 0..imax: 0 off the stored
+        parity, where lambda is no ring element (sigma = 2) or has an odd sqrt(d)
+        part (sigma = 1); OutOfRange for any other cell outside the window."""
+        if not 0 <= i <= self.imax:
+            raise OutOfRange(f"row {i} lies outside the stored window")
         if (j - self._parity(i)) % 2 != 0:
             return 0
-        if self.symmetric and j < 0:
-            j = -j
-        if self.klen[i] == 0 or not (self.y0[i] <= j <= self.yhi[i]):
-            return 0
+        if not self._window_lo(i) <= j <= self.yhi[i]:
+            raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
+        if self.symmetric:
+            j = abs(j)
         return int(self.flat[self.row_start[i] + ((j - self.y0[i]) >> 1)])
 
     def value(self, lam: QuadInt) -> int:
@@ -460,10 +460,7 @@ class RepTable:
         writer = csv.writer(stream)
         writer.writerow(["x", "y", "r"])
         for i in range(self.imax + 1):
-            par = self._parity(i)
-            lo = _snap_up(int(self.jlo_full[i]), par)
-            hi = _snap_down(int(self.jhi_full[i]), par)
-            for j in range(lo, hi + 1, 2):
+            for j in range(int(self._window_lo(i)), int(self.yhi[i]) + 1, 2):
                 writer.writerow([i, j, self.lookup(i, j)])
 
 
@@ -646,14 +643,9 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
                             memory_budget=memory_budget)
     c = c_constant(field)
     num, den = c.numerator, c.denominator
-    dev = [0] * (xmax + 1)
-    for v in range(1, xmax + 1):
-        dev[v] = abs(int(grid[v]) * den - num * v * v)
     running = [0] * (xmax + 1)
-    best = 0
     for v in range(1, xmax + 1):
-        best = max(best, dev[v])
-        running[v] = best
+        running[v] = max(running[v - 1], abs(int(grid[v]) * den - num * v * v))
     out = []
     for cpt in sorted(set(checkpoints)):
         strict = running[cpt - 1] if cpt >= 2 else 0

@@ -268,26 +268,20 @@ class CosetGraph:
 
 def default_generators(field: FieldData) -> list[MatO]:
     """S, T_1 and T_mu with mu = (1+sqrt d)/2 or sqrt d, closed under
-    inverses so the coset orbit is the full coset space."""
-    s = MatO.s_matrix(field)
+    inverses so the coset orbit is the full coset space; the five are
+    distinct, as mu != 0."""
     one = field.one()
     mu = field.omega() if field.ring_class is RingClass.ONE_MOD_FOUR else field.sqrt_d()
-    gens = [
-        s,
+    return [
+        MatO.s_matrix(field),
         MatO.translation(one),
         MatO.translation(mu),
         MatO.translation(-one),
         MatO.translation(-mu),
     ]
-    out: list[MatO] = []
-    for g in gens:
-        if g not in out:
-            out.append(g)
-    return out
 
 
-def coset_bfs(field: FieldData, generators: list[MatO] | None = None,
-              depth_limit: int = 8) -> CosetGraph:
+def coset_bfs(field: FieldData, depth_limit: int = 8) -> CosetGraph:
     """Breadth-first closure of the coset space from the identity coset.
 
     Cosets are identified by linear scan with `equivalent`; the index is at
@@ -295,7 +289,7 @@ def coset_bfs(field: FieldData, generators: list[MatO] | None = None,
     """
     if depth_limit < 1:
         raise OutOfRange("depth_limit must be >= 1")
-    gens = generators if generators is not None else default_generators(field)
+    gens = default_generators(field)
     reps: list[MatO] = [MatO.identity(field)]
     edges: dict[tuple[int, int], int] = {}
     frontier = [0]
@@ -424,17 +418,18 @@ def verify_conjugation(field: FieldData, samples: int = 100,
 # ---------------------------------------------------------------------------
 
 
-def random_cayley_quadruples(field: FieldData, count: int, seed: int = 0,
-                             span: int = 4) -> list[CayleyQuadruple]:
-    """Random quadruples: draw (qc, qd), then solve qa^2 + qb^2 = qc^2 + qd^2 + 1
-    by enumeration and pick one solution; resample when there is none."""
+def random_cayley_quadruples(field: FieldData, count: int,
+                             seed: int = 0) -> list[CayleyQuadruple]:
+    """Random quadruples: draw (qc, qd) over span 4, then solve qa^2 + qb^2 =
+    qc^2 + qd^2 + 1 by enumeration and pick one solution; resample when there
+    is none."""
     from .repcount import two_square_solutions
 
     rng = random.Random(seed)
     out: list[CayleyQuadruple] = []
     while len(out) < count:
-        qc = _random_element(rng, field, span)
-        qd = _random_element(rng, field, span)
+        qc = _random_element(rng, field, 4)
+        qd = _random_element(rng, field, 4)
         target = qc * qc + qd * qd + field.one()
         sols = two_square_solutions(field, target)
         if not sols:
@@ -444,13 +439,12 @@ def random_cayley_quadruples(field: FieldData, count: int, seed: int = 0,
     return out
 
 
-def random_m_elements(field: FieldData, count: int, seed: int = 0,
-                      quadruple_share: float = 0.3) -> list[MatO]:
-    """Random elements of M: a share built from random Cayley quadruples and
-    the rest as short words in Gamma generators (M is closed under products
-    up to sign, so every word stays in M)."""
+def random_m_elements(field: FieldData, count: int, seed: int = 0) -> list[MatO]:
+    """Random elements of M: a share of 0.3 built from random Cayley
+    quadruples and the rest as short words in Gamma generators (M is closed
+    under products up to sign, so every word stays in M)."""
     rng = random.Random(seed)
-    n_quad = int(count * quadruple_share)
+    n_quad = int(count * 0.3)
     out = [q.to_matrix() for q in
            random_cayley_quadruples(field, n_quad, seed=rng.randrange(1 << 30))]
 

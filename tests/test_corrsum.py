@@ -35,7 +35,7 @@ from quadcorr.corrsum import (
     _min_j,
     make_bound,
 )
-from quadcorr.quadfield import RingClass
+from quadcorr.quadfield import RingClass, sign_quad
 from test_repcount import box_lambdas
 
 # one field per class: d = 2, 6 (2 mod 4), 3, 7 (3 mod 4), 5, 13 (5 mod 8), 17, 41 (1 mod 8)
@@ -449,19 +449,30 @@ def test_build_matches_reference_accumulation(d, symmetric, data):
     assert (table.flat == _reference_flat(table)).all()
 
 
+def _window_cells(table):
+    """Every integer cell (i, j) of the window on rows 0..imax, from the
+    closed edges of the bounds on rows i - sigma (lambda - 1 is the cell
+    (i - sigma, j)), not from the table's own row record."""
+    sigma = table.sigma
+    rows = np.arange(table.imax + 1, dtype=np.int64)
+    top = corrsum._floor_div_sqrt(rows, 1, table.field.d)
+    hi = np.minimum(top, _max_j(table.v1, rows - sigma, sigma))
+    lo = np.maximum(-top, _min_j(table.v2, rows - sigma, sigma))
+    return [(i, j) for i in rows.tolist() for j in range(int(lo[i]), int(hi[i]) + 1)]
+
+
 @pytest.mark.parametrize("d", RING_DS)
 def test_table_matches_brute_force_per_cell(d):
-    # every stored cell of a small full table, against a direct count
+    # every window cell of a small full table, against a direct count
     field = field_new(d)
     table = build_rep_table(field, Fraction(9, 2), InvSqrtBound(d, Fraction(1, 3)),
                             symmetric=False)
     sigma = _sigma(d)
-    for i in range(table.imax + 1):
-        for j in range(int(table.jlo_full[i]), int(table.jhi_full[i]) + 1):
-            if (i - j) % 2 and sigma == 2:
-                continue
-            lam = field.element(i, j) if sigma == 2 else field.from_xy(i, j)
-            assert table.lookup(i, j) == r_brute(field, lam), (i, j)
+    for i, j in _window_cells(table):
+        if (i - j) % 2 and sigma == 2:
+            continue
+        lam = field.element(i, j) if sigma == 2 else field.from_xy(i, j)
+        assert table.lookup(i, j) == r_brute(field, lam), (i, j)
 
 
 @given(st.sampled_from(RING_DS), st.integers(1, 40), st.booleans(), st.booleans())
@@ -703,8 +714,7 @@ def test_closed_and_half_open_boxes_differ_in_one_axis_cell(d):
                 return table.v1.allows(p, q, strict) and table.v2.allows(p, -q, strict)
 
             i_star = max(i for i in range(table.imax + 1) if inside(i, 0, False))
-            edge = [(i, j) for i in range(table.imax + 1)
-                    for j in range(int(table.jlo_full[i]), int(table.jhi_full[i]) + 1)
+            edge = [(i, j) for i, j in _window_cells(table)
                     if (j - i) % sigma == 0 and inside(i, j, False)
                     and not inside(i, j, True)]
             assert edge in ([], [(i_star, 0)]), (v1, v2, edge)
@@ -743,3 +753,97 @@ def test_min_cells_is_tight_on_large_boxes():
         table = build_rep_table(field_new(d), 600, 600, symmetric=symmetric)
         low = _min_cells(table.v1, table.v2, table.sigma, symmetric)
         assert 0.9 * table.cells <= low <= table.cells, (d, low, table.cells)
+
+
+@pytest.mark.parametrize("d", RING_DS)
+def test_row_record_matches_window_definition(d):
+    """Each row's stored j, and its window cells _window_lo(i)..yhi[i], are
+    the cells of the row's parity with lambda, lambda^sigma >= 0 and lambda - 1,
+    (lambda - 1)^sigma allowed by v1, v2; and lookup reads them as stated."""
+    field, sigma = field_new(d), _sigma(d)
+    rational = [Fraction(9, 2), Fraction(7), Fraction(10, 3)]
+    inv_sqrt = [InvSqrtBound(d, Fraction(1, 9)), InvSqrtBound(d, Fraction(1, 20)),
+                InvSqrtBound(d, Fraction(sigma**2, d))]
+    boxes = [(v1, v2, False) for v1 in rational + inv_sqrt for v2 in rational + inv_sqrt]
+    boxes += [(v, v, True) for v in rational + [Fraction(40)]]
+    mirrored = 0
+    for v1, v2, symmetric in boxes:
+        table = build_rep_table(field, v1, v2, symmetric=symmetric)
+        b1, b2 = table.v1, table.v2
+
+        def window(i):  # every integer j of the window in row i
+            reach = isqrt(i * i // d) + 1 if i > 0 else 0
+            cells = []
+            for j in range(-reach, reach + 1):
+                p, q = _doubled(i, j, sigma)
+                if (sign_quad(p, q, d) >= 0 and sign_quad(p, -q, d) >= 0
+                        and b1.allows(p - 2, q, False) and b2.allows(p - 2, -q, False)):
+                    cells.append(j)
+            return cells
+
+        for i in range(table.imax + 1):
+            par = table._parity(i)
+            lattice = [j for j in window(i) if (j - par) % 2 == 0]
+            y0, yhi = int(table.y0[i]), int(table.yhi[i])
+            stored = [j for j in lattice if j >= 0] if symmetric else lattice
+            assert list(range(y0, yhi + 1, 2)) == stored and yhi >= y0 - 2, (v1, v2, i)
+            assert table.row_start[i + 1] - table.row_start[i] == len(stored)
+            lo = int(table._window_lo(i))
+            assert list(range(lo, yhi + 1, 2)) == lattice, (v1, v2, i)
+            if lattice:  # one lattice step past either edge
+                for j in (lo - 2, yhi + 2):
+                    with pytest.raises(OutOfRange):
+                        table.lookup(i, j)
+            for j in (lo - 1, yhi + 1, yhi + 41):  # off parity, in the window or not
+                assert table.lookup(i, j) == 0, (v1, v2, i, j)
+            for j in lattice:
+                if symmetric and j < 0:
+                    assert table.lookup(i, j) == table.lookup(i, -j)
+                    mirrored += table.lookup(i, j) > 0
+        # no window cell of either parity past the last row
+        assert not any(window(i) for i in range(table.imax + 1, table.imax + 4)), (v1, v2)
+        for i in (-1, table.imax + 1):
+            with pytest.raises(OutOfRange):
+                table.lookup(i, table._parity(i))
+    assert mirrored > 0
+
+
+@pytest.mark.parametrize("d", RING_DS)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_min_cells_equals_its_exact_formula(d, symmetric):
+    """_min_cells restated in Fractions at b = v + 1, with sqrt(d) bracketed
+    by s/2^32 <= sqrt(d) < (s + 1)/2^32: equal for rational bounds, whose
+    bracket is exact, and at most the formula at the upper end of a V^(-1/2)
+    bracket, which must itself hold sigma V^(-1/2)."""
+    sigma, scale = _sigma(d), corrsum._SQRT_SCALE
+    s = isqrt(d * scale * scale)
+
+    def formula(sb1, sb2, c):  # sb = sigma b, c = ceil(b1) + ceil(b2)
+        half_area = math.floor(sb1 * sb2 / (4 * Fraction(s + 1, scale)))
+        half_peak = math.ceil(sigma * c / (4 * Fraction(s, scale)))
+        full = max(half_area - half_peak - (sigma * c // 2 + 1), 0)
+        return full // 2 if symmetric else full
+
+    def upper(bound):  # (sigma b, ceil(b)) at the top of the bound's bracket
+        if isinstance(bound, RationalBound):
+            return sigma * (bound.value + 1), math.ceil(bound.value) + 1
+        a, m, exact = bound.bracket(sigma, scale)
+        v = bound.v
+        assert not exact and Fraction(a, m) ** 2 <= sigma**2 / v < Fraction(a + 1, m) ** 2
+        return Fraction(a + 1, m) + sigma, bound.ceil() + 1
+
+    rational = [RationalBound(d, Fraction(v)) for v in (Fraction(7, 2), 40, Fraction(355, 3), 600)]
+    inv_sqrt = [InvSqrtBound(d, Fraction(1, v)) for v in (50, 3000, 10**5)]
+    pairs = [(b, b) for b in rational] if symmetric else [
+        (b1, b2) for b1 in rational + inv_sqrt for b2 in rational + inv_sqrt]
+    positive = 0
+    for b1, b2 in pairs:
+        (sb1, c1), (sb2, c2) = upper(b1), upper(b2)
+        got = _min_cells(b1, b2, sigma, symmetric)
+        want = formula(sb1, sb2, c1 + c2)
+        if isinstance(b1, RationalBound) and isinstance(b2, RationalBound):
+            assert got == want, (b1.describe(), b2.describe())
+        else:
+            assert got <= want, (b1.describe(), b2.describe())
+        positive += got > 0
+    assert positive >= len(pairs) // 2
