@@ -828,8 +828,7 @@ def test_min_cells_equals_its_exact_formula(d, symmetric):
         if isinstance(bound, RationalBound):
             return sigma * (bound.value + 1), math.ceil(bound.value) + 1
         a, m, exact = bound.bracket(sigma, scale)
-        v = bound.v
-        assert not exact and Fraction(a, m) ** 2 <= sigma**2 / v < Fraction(a + 1, m) ** 2
+        assert not exact and Fraction(a, m) ** 2 <= sigma**2 / bound.v < Fraction(a + 1, m) ** 2
         return Fraction(a + 1, m) + sigma, bound.ceil() + 1
 
     rational = [RationalBound(d, Fraction(v)) for v in (Fraction(7, 2), 40, Fraction(355, 3), 600)]
