@@ -228,6 +228,27 @@ def test_csv_export_roundtrip():
     assert any(j < 0 for (_, j) in seen)
 
 
+@pytest.mark.parametrize("d", RING_DS)
+def test_csv_dump_lists_the_window_in_order(d):
+    """write_csv lists every lattice cell of the window of the stored parity,
+    mirrored cells included, in (x, then y) ascending order, each with r_brute."""
+    field, sigma = field_new(d), _sigma(d)
+    boxes = [(Fraction(9, 2), Fraction(9, 2), True), (Fraction(7, 2), Fraction(10, 3), False),
+             (Fraction(9, 2), InvSqrtBound(d, Fraction(1, 3)), False)]
+    for v1, v2, symmetric in boxes:
+        table = build_rep_table(field, v1, v2, symmetric=symmetric)
+        buf = io.StringIO()
+        table.write_csv(buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[:2] == [f"# D={d} doubled={int(sigma == 2)}", "x,y,r"]
+        rows = [tuple(int(t) for t in line.split(",")) for line in lines[2:]]
+        want = sorted((i, j) for i, j in _window_cells(table) if (j - (i & (sigma - 1))) % 2 == 0)
+        assert [(i, j) for i, j, _ in rows] == want, (v1, v2)
+        for i, j, r in rows:
+            lam = field.element(i, j) if sigma == 2 else field.from_xy(i, j)
+            assert r == r_brute(field, lam), (v1, v2, i, j)
+
+
 def test_symmetric_storage_footprint():
     # balanced case, d not 1 mod 4: about V^2 / (8 sqrt d) stored counters
     f2 = field_new(2)
@@ -434,17 +455,31 @@ def _box_bound(d):
             | st.builds(lambda v: InvSqrtBound(d, v), st.integers(1, 3000)))
 
 
+# an @example's stand-in for drawn sides: the thin box (3000, 3000^(-1/2)),
+# where most columns of the table hold one or two cells
+THIN = "thin"
+
+
+def _sides(d, symmetric, data):
+    """The sides of a drawn box, or of the table-scale box when data is None."""
+    if data is None:
+        return Fraction(3001, 2), Fraction(3001, 2)
+    if data == THIN:
+        return Fraction(3000), InvSqrtBound(d, Fraction(3000))
+    if symmetric:
+        v = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
+        return v, v
+    return data.draw(_box_bound(d)), data.draw(_box_bound(d))
+
+
 @given(st.sampled_from(RING_DS), st.booleans(), st.data())
 @settings(max_examples=60, deadline=None)
 @example(d=2, symmetric=True, data=None)
+@example(d=2, symmetric=False, data=THIN)
+@example(d=5, symmetric=False, data=THIN)
 def test_build_matches_reference_accumulation(d, symmetric, data):
     field = field_new(d)
-    if data is None:  # table scale
-        v1 = v2 = Fraction(3001, 2)
-    elif symmetric:
-        v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
-    else:
-        v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
+    v1, v2 = _sides(d, symmetric, data)
     table = build_rep_table(field, v1, v2, symmetric=symmetric)
     assert (table.flat == _reference_flat(table)).all()
 
@@ -544,14 +579,13 @@ def _reference_correlation(table, include_lambda_zero):
 @settings(max_examples=60, deadline=None)
 @example(d=2, symmetric=True, include_zero=True, data=None)
 @example(d=2, symmetric=False, include_zero=False, data=None)
+@example(d=2, symmetric=False, include_zero=True, data=THIN)
+@example(d=2, symmetric=False, include_zero=False, data=THIN)
+@example(d=5, symmetric=False, include_zero=True, data=THIN)
+@example(d=5, symmetric=False, include_zero=False, data=THIN)
 def test_correlation_matches_reference_route(d, symmetric, include_zero, data):
     field = field_new(d)
-    if data is None:  # table scale
-        v1 = v2 = Fraction(3001, 2)
-    elif symmetric:
-        v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
-    else:
-        v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
+    v1, v2 = _sides(d, symmetric, data)
     table = build_rep_table(field, v1, v2, symmetric=symmetric)
     got = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero)
     assert got.n_value == _reference_correlation(table, include_zero)

@@ -38,3 +38,6 @@ def test_tracer_reports_every_per_layer_metric():
     for name in ("corrsum.rows.count", "corrsum.squares.count", "corrsum.cells",
                  "corrsum.table.bytes"):
         assert report[name] > 0, name
+    # the table's row edges and the exact bound tests behind them still run
+    for name in ("corrsum.edge.calls", "corrsum.allows.calls"):
+        assert report[name] > 0, name
