@@ -13,7 +13,8 @@ otherwise. The stored window for box bounds (V1, V2) is the closed region
 so every lambda + 1 needed by the correlation is present; as lambda - 1 is
 the cell (i - sigma, j), the upper edges are the box's own, sigma rows down.
 N and the integer grid behind F take the products r(lambda) r(lambda + 1)
-from one banded walk over the stored cells: the closed box 0 <= lambda <= V1,
+from one banded walk over the table, stored by columns of fixed j so that
+lambda + 1 is the cell after lambda's: the closed box 0 <= lambda <= V1,
 0 <= lambda^sigma <= V2. The correlation's box is half-open (lambda < V1,
 lambda^sigma < V2), so N is the walk's sum minus at most one cell on j = 0,
 decided by exact integer sign tests; lambda = 0 is included by default.
@@ -22,16 +23,17 @@ All bookkeeping is integer-exact. The window edges of every trace row come
 from one closed form, the largest j with j m sqrt(d) <= R, which is
 isqrt(R^2 // (m^2 d)) with its sign restored, evaluated over all rows at once
 as numpy arrays (int64 where the magnitudes provably fit, Python ints
-otherwise). An irrational bound such as V^(-1/2) is bracketed between two
-rationals a/m and (a+1)/m; the rare rows where the two ends disagree are
-settled by the exact predicate. Floats only seed the integer square root and
-carry integer sums kept below 2^53, where they are exact.
+otherwise), and each column's rows are cut from them by binary search. An
+irrational bound such as V^(-1/2) is bracketed between two rationals a/m and
+(a+1)/m; the rare rows where the two ends disagree are settled by the exact
+predicate. Floats only seed the integer square root.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -48,9 +50,9 @@ ORACLE_QUADRUPLE_LIMIT = 10_000_000
 # largest value of an int32 table cell, and of a uint16 one
 _CELL_LIMIT = 2**31 - 1
 _NARROW_CELL_LIMIT = 2**16 - 1
-# bytes per row: the row record (24) plus the peak of an int64 edge pass
-# over all rows (measured at most 96); kept at 160 as an upper bound, so that
-# no refusal point moves
+# bytes per row: the peak of an int64 edge pass over all rows and of the column
+# record cut from it, fewer columns than rows (measured at most 97 on d in {2, 3,
+# 5}); kept at 160 as an upper bound, so that no refusal point moves
 _ROW_BYTES = 160
 # bytes per row when the edges need Python ints: the peak of the table build
 # and of the strict edge pass it once had, at most 214 plus 12 per 30-bit digit
@@ -221,14 +223,6 @@ def _min_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
     return -_max_j(bound, i, sigma)
 
 
-def _snap_up(j: int, parity: int) -> int:
-    return j + ((parity - j) % 2)
-
-
-def _snap_down(j: int, parity: int) -> int:
-    return j - ((j - parity) % 2)
-
-
 # sqrt(d) is bracketed as s/_SQRT_SCALE <= sqrt(d) < (s + 1)/_SQRT_SCALE
 _SQRT_SCALE = 1 << 32
 
@@ -276,13 +270,14 @@ def _memory_budget(explicit: int | None) -> int:
 class RepTable:
     """Dense ragged table of r-values over the closed extended window.
 
-    One record per row i: the stored j are y0[i], y0[i] + 2, ..., yhi[i]
-    (none when yhi[i] = y0[i] - 2), and their counts are the slice
-    flat[row_start[i]:row_start[i + 1]] of one flat array, uint16 when
-    _build proves every count fits and int32 otherwise. In symmetric mode
-    (only for V1 = V2) just the j >= 0 half is stored and negative j is
-    answered through r(lam) = r(lam^sigma). The window's cells of the
-    stored parity in row i are _window_lo(i), ..., yhi[i].
+    One record per column c of fixed j = j0 + c (sigma = 2) or j0 + 2c (odd j
+    hold no sums of two squares when sigma = 1): its stored rows are i0[c],
+    i0[c] + sigma, ..., ihi[c] (none when ihi[c] = i0[c] - sigma), and their
+    counts, lambda + 1 right after lambda, are the slice flat[col_start[c]:
+    col_start[c + 1]] of one flat array, uint16 when _build proves every
+    count fits and int32 otherwise. In symmetric mode (only for V1 = V2) just
+    the j >= 0 half is stored and negative j is answered through r(lam) =
+    r(lam^sigma).
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
@@ -322,32 +317,36 @@ class RepTable:
 
     # -- geometry ---------------------------------------------------------
 
-    def _parity(self, i):
-        """Parity of the stored j in row i (an int or an int64 array): i mod 2
-        in doubled coordinates, else 0."""
-        return i & (self.sigma - 1)
-
     def _compute_rows(self) -> None:
         d = self.field.d
         sigma = self.sigma
         i = np.arange(self.imax + 1, dtype=np.int64)
         top = _floor_div_sqrt(i, 1, d)  # lambda, lambda^sigma >= 0
         # lambda - 1 is the cell (i - sigma, j): lambda <= v1 + 1 is lambda - 1 <= v1
-        hi = np.minimum(top, _max_j(self.v1, i - sigma, sigma))
-        lo = np.maximum(-top, _min_j(self.v2, i - sigma, sigma))
+        mx = _max_j(self.v1, i - sigma, sigma).astype(np.int64, copy=False)
+        mn = _min_j(self.v2, i - sigma, sigma).astype(np.int64, copy=False)
+        hi, lo = np.minimum(top, mx), np.maximum(-top, mn)
         filled = np.flatnonzero(hi >= lo)
         if not len(filled):
             raise OutOfRange("empty window")
-        n = int(filled[-1]) + 1
-        self.imax = n - 1
-        # the window is convex and holds (0, 0), so lo <= hi + 1 and yhi >= y0 - 2;
-        # symmetric storage keeps only j >= 0, the mirror half follows from conjugation
-        par = self._parity(i[:n])
-        self.y0 = _snap_up(par if self.symmetric else lo[:n].astype(np.int64), par)
-        self.yhi = _snap_down(hi[:n].astype(np.int64), par)
-        self.row_start = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum((self.yhi - self.y0) // 2 + 1, out=self.row_start[1:])
-        self.cells = int(self.row_start[-1])
+        self.imax = int(filled[-1])
+        n = self.imax + 1
+        # row i holds max(-top, mn) <= j <= min(top, mx), and top and mn rise while mx
+        # falls: column j runs from the first row with top >= |j| to the last with
+        # mx >= j and mn <= j. Stored: j >= 0 in symmetric storage, even j if sigma = 1
+        step, jmin = 3 - sigma, 0 if self.symmetric else int(lo[:n].min())
+        j = np.arange(jmin + jmin % step, int(hi[:n].max()) + 1, step)
+        first = np.searchsorted(top, np.abs(j))
+        last = np.minimum(np.searchsorted(-mx, -j, side="right"),
+                          np.searchsorted(mn, j, side="right")) - 1
+        if sigma == 2:  # a column's rows have i = j (mod 2)
+            first, last = first + (first - j) % 2, last - (last - j) % 2
+        self.j0 = int(j[0])
+        self.i0 = first
+        self.ihi = np.maximum(last, first - sigma)
+        self.col_start = np.zeros(len(j) + 1, dtype=np.int64)
+        np.cumsum((self.ihi - self.i0) // sigma + 1, out=self.col_start[1:])
+        self.cells = int(self.col_start[-1])
 
     def _check_budget(self, memory_budget: int | None, min_cells: int | None = None) -> None:
         """Refuse when the rows and cells known so far, or min_cells cells
@@ -383,7 +382,8 @@ class RepTable:
         sj = np.repeat(sigma * A * B // 2, 1 + twin)
         sj[np.cumsum(1 + twin)[twin] - 1] *= -1
         sw = np.where(si > 0, 2, 1)
-        inside = (self._window_lo(si) <= sj) & (sj <= self.yhi[si])
+        # the window is mirror-symmetric in symmetric storage
+        inside, _ = self._locate(si, np.abs(sj) if self.symmetric else sj)
         return si[inside], sj[inside], sw[inside]
 
     def _build(self) -> None:
@@ -397,36 +397,42 @@ class RepTable:
         # points with 2 i <= imax
         narrow = 8 * int(np.count_nonzero(2 * si <= self.imax)) <= _NARROW_CELL_LIMIT
         dtype = np.uint16 if narrow else np.int32
-        order = np.lexsort((sj, si))
+        sigma, j0 = self.sigma, self.j0
+        order = np.lexsort((si, sj))
         si, sj, sw = si[order], sj[order], sw[order].astype(dtype)
-        # the partners s >= t of t that stay within row imax are s in [t, cut[t]);
-        # cut falls as t rises, so the t with any partner come first
-        cut = np.searchsorted(si, self.imax - si, side="right")
-        y0, yhi, off = self.y0, self.yhi, self._offsets()
+        # the partners s >= t of t whose sum lands on a column, j0 <= j <= j_last,
+        # are s in [max(t, first[t]), last[t]); last falls as t rises, so the t
+        # with any partner come first
+        j_last = j0 + (3 - sigma) * (len(self.i0) - 1)
+        first = np.searchsorted(sj, j0 - sj)
+        last = np.searchsorted(sj, j_last - sj, side="right")
+        # xi_t^2 + xi_s^2 is on column c = u[t] + u[s] - u0, at flat[(off[c] + i) >> (sigma - 1)]
+        u, u0 = sj >> (2 - sigma), j0 >> (2 - sigma)
+        i0, ihi, off = self.i0, self.ihi, sigma * self.col_start[:-1] - self.i0
         flat = np.zeros(self.cells, dtype=dtype)
-        for t in range(int(np.count_nonzero(cut > np.arange(n_pts)))):
-            c = int(cut[t])
-            ii = si[t:c] + si[t]
-            jj = sj[t:c] + sj[t]
-            keep = np.flatnonzero((jj >= y0[ii]) & (jj <= yhi[ii]))
-            ww = sw[t:c][keep] * (2 * sw[t])
-            if len(keep) and keep[0] == 0:
+        for t in range(int(np.count_nonzero(last > np.arange(n_pts)))):
+            a, b = max(t, int(first[t])), int(last[t])
+            ii = si[a:b] + si[t]
+            c = u[a:b] + (u[t] - u0)
+            keep = np.flatnonzero((ii >= i0[c]) & (ii <= ihi[c]))
+            ww = sw[a:b][keep] * (2 * sw[t])
+            if a == t and len(keep) and keep[0] == 0:
                 ww[0] //= 2  # s = t is one ordered pair, not two
             # s -> xi_t^2 + xi_s^2 is a translation and the xi_s^2 are distinct,
             # so the cells of one t are distinct and a plain scatter-add is exact
-            flat[(off[ii[keep]] + jj[keep]) >> 1] += ww
+            flat[(off[c[keep]] + ii[keep]) >> (sigma - 1)] += ww
         self.flat = flat
 
     # -- access -----------------------------------------------------------
 
-    def _offsets(self) -> np.ndarray:
-        """off with the cell (i, j) of a stored row i at flat[(off[i] + j) >> 1]."""
-        return 2 * self.row_start[:-1] - self.y0
-
-    def _window_lo(self, i):
-        """The lowest window cell of the stored parity in row i (an int or an
-        int64 array); in symmetric storage the window is mirror-symmetric."""
-        return -self.yhi[i] if self.symmetric else self.y0[i]
+    def _locate(self, i, j):
+        """(stored, k) for cells (i, j) of the stored parity, ints or int64
+        arrays: whether each is a stored cell, and if so its place flat[k]."""
+        c = (j - self.j0) >> (2 - self.sigma)
+        cc = c % len(self.i0)  # c itself when c names a column
+        i0 = self.i0[cc]
+        stored = (c == cc) & (i0 <= i) & (i <= self.ihi[cc])
+        return stored, self.col_start[cc] + ((i - i0) >> (self.sigma - 1))
 
     def lookup(self, i: int, j: int) -> int:
         """r(lambda) for the cell (i, j) of a row 0..imax: 0 off the stored
@@ -434,13 +440,12 @@ class RepTable:
         part (sigma = 1); OutOfRange for any other cell outside the window."""
         if not 0 <= i <= self.imax:
             raise OutOfRange(f"row {i} lies outside the stored window")
-        if (j - self._parity(i)) % 2 != 0:
+        if (j - (i & (self.sigma - 1))) % 2 != 0:  # j = i (mod 2) when sigma = 2, else even
             return 0
-        if not self._window_lo(i) <= j <= self.yhi[i]:
+        stored, k = self._locate(i, abs(j) if self.symmetric else j)
+        if not stored:
             raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
-        if self.symmetric:
-            j = abs(j)
-        return int(self.flat[self.row_start[i] + ((j - self.y0[i]) >> 1)])
+        return int(self.flat[k])
 
     def value(self, lam: QuadInt) -> int:
         """r(lambda) for a ring element inside the window."""
@@ -454,14 +459,21 @@ class RepTable:
         return self.lookup(p // 2, q // 2)
 
     def write_csv(self, stream) -> None:
-        """Full window as CSV: metadata line, header, one row per cell."""
+        """Full window as CSV: metadata line, header, one row per cell in
+        (x, then y) order."""
         doubled = 1 if self.sigma == 2 else 0
         stream.write(f"# D={self.field.d} doubled={doubled}\n")
         writer = csv.writer(stream)
         writer.writerow(["x", "y", "r"])
-        for i in range(self.imax + 1):
-            for j in range(int(self._window_lo(i)), int(self.yhi[i]) + 1, 2):
-                writer.writerow([i, j, self.lookup(i, j)])
+        c = np.repeat(np.arange(len(self.i0)), np.diff(self.col_start))
+        i = self.i0[c] + self.sigma * (np.arange(self.cells) - self.col_start[c])
+        j = self.j0 + (3 - self.sigma) * c
+        r = self.flat
+        if self.symmetric:  # the mirror cells (i, -j) of the columns j > 0
+            m = j > 0
+            i, j, r = (np.concatenate((x, y[m])) for x, y in ((i, i), (j, -j), (r, r)))
+        order = np.lexsort((j, i))
+        writer.writerows(zip(i[order].tolist(), j[order].tolist(), r[order].tolist()))
 
 
 def build_rep_table(field: FieldData, v1, v2, *, symmetric: bool | None = None,
@@ -500,32 +512,24 @@ class CorrelationResult:
 
 
 def _products(table: RepTable, include_lambda_zero: bool):
-    """Walk the table in bands of _BAND_CELLS cells, yielding per band the
-    arrays (i, j, r(lambda) r(lambda + 1)) over its nonzero cells (i, j)
-    whose lambda + 1, the cell (i + sigma, j), is stored. In symmetric
+    """Walk the table in bands of _BAND_CELLS cells, yielding per band (k0, p)
+    with p[k - k0] = r(lambda) r(lambda + 1) for the cell k of lambda: its
+    lambda + 1 is the next cell of the column, and p is 0 at the last cell
+    of a column, where lambda + 1 lies outside the window. In symmetric
     storage a cell with j > 0 also stands for its mirror -j, so its product
     is doubled. The bands keep the temporaries small next to the table."""
-    sigma = table.sigma
-    flat, y0, yhi, row_start = table.flat, table.y0, table.yhi, table.row_start
-    off = table._offsets()
-    # row 0 holds lambda = 0 alone; rows past imax - sigma have no lambda + 1 row
-    start = int(row_start[0 if include_lambda_zero else 1])
-    stop = int(row_start[max(table.imax - sigma + 1, 0)])
-    for a in range(start, stop, _BAND_CELLS):
-        b = min(a + _BAND_CELLS, stop)
-        k = a + np.flatnonzero(flat[a:b])
-        # the band's rows are r..r_end - 1; find each cell's row among them
-        r = int(np.searchsorted(row_start, a, side="right")) - 1
-        r_end = int(np.searchsorted(row_start, b - 1, side="right"))
-        i = r - 1 + np.searchsorted(row_start[r:r_end], k, side="right")
-        j = 2 * k - off[i]
-        i2 = i + sigma
-        keep = np.flatnonzero((j >= y0[i2]) & (j <= yhi[i2]))
-        k, i, i2, j = k[keep], i[keep], i2[keep], j[keep]
-        prods = flat[k].astype(np.int64) * flat[(off[i2] + j) >> 1]
-        if table.symmetric:
-            prods <<= j > 0
-        yield i, j, prods
+    flat, start = table.flat, table.col_start
+    last = start[1:] - 1  # each column's last cell (the one before, if it is empty)
+    zero = int(start[-table.j0 >> (2 - table.sigma)])  # lambda = 0, row 0 of j = 0
+    for k0 in range(0, table.cells - 1, _BAND_CELLS):
+        k1 = min(k0 + _BAND_CELLS, table.cells - 1)
+        p = flat[k0:k1].astype(np.int64) * flat[k0 + 1:k1 + 1]
+        p[last[np.searchsorted(last, k0):np.searchsorted(last, k1)] - k0] = 0
+        if table.symmetric:  # the columns j > 0 follow the column j = 0
+            p[max(int(start[1]) - k0, 0):] <<= 1
+        if not include_lambda_zero and k0 <= zero < k1:
+            p[zero - k0] = 0
+        yield k0, p
 
 
 def _strict_row_range(table: RepTable) -> int | None:
@@ -550,7 +554,7 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         if table.v1.describe() != want1 or table.v2.describe() != want2:
             raise OutOfRange("supplied table was built for different bounds")
     total = 0
-    for _, _, p in _products(table, include_lambda_zero):
+    for _, p in _products(table, include_lambda_zero):
         # exact in int64: a product is below 2^63, so each part is below 2^32,
         # summed over at most 2^14 cells
         total += int((p & ((1 << 31) - 1)).sum()) + (int((p >> 31).sum()) << 31)
@@ -595,28 +599,24 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
                                 memory_budget=memory_budget)
     elif not all(isinstance(b, RationalBound) and b.value >= xmax for b in (table.v1, table.v2)):
         raise OutOfRange(f"the table's bounds do not cover V = {xmax}")
-    sigma, y0, yhi = table.sigma, table.y0, table.yhi
-    buckets = np.zeros(xmax + 2, dtype=np.int64)
+    buckets = np.zeros(xmax + 1, dtype=np.int64)
 
-    # fl[|j|] = floor(|j| sqrt d), so max(lambda, lambda^sigma) = (i + fl[|j|]) / sigma
-    jabs_max = int(max(int(yhi.max(initial=0)), -int(y0.min(initial=0))))
-    wide = jabs_max * jabs_max * field.d >= 1 << 62
-    jabs = np.arange(jabs_max + 1, dtype=object if wide else np.int64)
+    # max(lambda, lambda^sigma) = (i + floor(|j| sqrt d)) / sigma rises by one per
+    # cell of a column, so the bucket of the cell k of column c is k + shift[c]
+    jabs = np.abs(table.j0 + (3 - table.sigma) * np.arange(len(table.i0))).astype(object)
     fl = _isqrt(jabs * jabs * field.d).astype(np.int64)
+    shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
+    starts = table.col_start.tolist()
 
-    for i, j, prods in _products(table, include_lambda_zero):
-        if not len(prods):
-            continue
-        # cells past the grid go to bucket xmax + 1, which the result leaves out
-        v = np.minimum((i + fl[np.abs(j)]) // sigma + 1, xmax + 1)
-        # bincount sums in float64, exact below 2^53: split each product at
-        # bit 26, so each part summed over at most 2^14 cells stays below 2^51
-        v0 = int(v.min())
-        lo = np.bincount(v - v0, weights=prods & ((1 << 26) - 1)).astype(np.int64)
-        hi = np.bincount(v - v0, weights=prods >> 26).astype(np.int64)
-        buckets[v0:v0 + len(lo)] += lo + (hi << 26)
+    for k0, p in _products(table, include_lambda_zero):
+        k1 = k0 + len(p)
+        # one slice per column with cells in the band; cells past the grid are left out
+        for c in range(bisect_right(starts, k0) - 1, bisect_left(starts, k1)):
+            a, b = max(starts[c], k0), min(starts[c + 1], k1, xmax + 1 - shift[c])
+            if b > a:
+                buckets[a + shift[c]:b + shift[c]] += p[a - k0:b - k0]
 
-    return np.cumsum(buckets)[: xmax + 1]
+    return np.cumsum(buckets)
 
 
 @dataclass(frozen=True)

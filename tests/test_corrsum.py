@@ -433,19 +433,17 @@ def test_wide_edge_rows_charged_before_the_work():
 
 
 def _reference_flat(table):
-    """The accumulation the table kernel replaced: per square point, masks
-    and np.add.at over every partner s >= t."""
+    """The accumulation the table kernel replaced: per square point, np.add.at
+    over every partner s >= t that lands on a stored cell, placed by the
+    cell location lookup reads through."""
     si, sj, sw = table._square_points()
     flat = np.zeros(table.cells, dtype=np.int32)
     for t in range(len(si)):
         ii, jj = si[t] + si[t:], sj[t] + sj[t:]
         ww = 2 * sw[t] * sw[t:]
         ww[0] //= 2
-        keep = ii <= table.imax
-        ii, jj, ww = ii[keep], jj[keep], ww[keep]
-        keep = (jj >= table.y0[ii]) & (jj <= table.yhi[ii])
-        ii, jj, ww = ii[keep], jj[keep], ww[keep]
-        np.add.at(flat, table.row_start[ii] + ((jj - table.y0[ii]) >> 1), ww)
+        stored, k = table._locate(ii, jj)
+        np.add.at(flat, k[stored], ww[stored])
     return flat
 
 
@@ -535,44 +533,38 @@ def test_grid_exact_past_float_precision():
     assert (correlation_grid(field, 20, table=table) == plain * (c * c)).all()
 
 
+def _read_cells(table, i, j):
+    """r at the cells (i, j) of the stored parity, read as lookup reads them:
+    a symmetric table answers a negative j from its mirror cell."""
+    stored, k = table._locate(i, np.abs(j) if table.symmetric else j)
+    assert stored.all()
+    return table.flat[k].astype(np.int64)
+
+
 def _reference_correlation(table, include_lambda_zero):
-    """The correlation sum the product walk replaced: per-row dot products
-    over runs of cells snapped to the row's parity, with a symmetric table
-    folded onto j >= 0 (each j > 0 twice, the axis j = 0 once)."""
-
-    def run_dot(rows, lo, hi):
-        ln = (hi - lo) // 2 + 1
-        used = ln > 0
-        rows, lo, ln = rows[used], lo[used], ln[used]
-        rows2 = rows + table.sigma
-        a0 = table.row_start[rows] + ((lo - table.y0[rows]) >> 1)
-        b0 = table.row_start[rows2] + ((lo - table.y0[rows2]) >> 1)
-        flat = table.flat.astype(np.int64)
-        return sum(int(np.dot(flat[a:a + n], flat[b:b + n]))
-                   for a, b, n in zip(a0.tolist(), b0.tolist(), ln.tolist()))
-
+    """The correlation sum from the half-open box's own edges: on every row,
+    the cells of the row's parity between them, each with its lambda + 1, the
+    cell (i + sigma, j), read cell by cell."""
     # the half-open box's edges per row: the closed edges, each moved one step
     # inward where the edge cell lies on the bound itself
     sigma = table.sigma
     rows = np.arange(table.imax + 1, dtype=np.int64)
     top = corrsum._floor_div_sqrt(rows, 1, table.field.d)
-    hi = np.minimum(top, _max_j(table.v1, rows, sigma))
-    lo = np.maximum(-top, _min_j(table.v2, rows, sigma))
+    hi = np.minimum(top, _max_j(table.v1, rows, sigma)).astype(np.int64)
+    lo = np.maximum(-top, _min_j(table.v2, rows, sigma)).astype(np.int64)
     for i in rows.tolist():
         p, q = _doubled(i, int(hi[i]), sigma)
         hi[i] -= not table.v1.allows(p, q, True)
         p, q = _doubled(i, int(lo[i]), sigma)
         lo[i] += not table.v2.allows(p, -q, True)
-    par = table._parity(rows)
-    lo = corrsum._snap_up(lo, par)
-    hi = corrsum._snap_down(hi, par)
+    par = rows & (sigma - 1)  # snap both edges inward to the row's parity
+    lo, hi = lo + (lo - par) % 2, hi - (hi - par) % 2
     if not include_lambda_zero:
         hi[0] = lo[0] - 2  # row 0 holds lambda = 0 alone
-    if not table.symmetric:
-        return run_dot(rows, lo, hi)
-    on_axis = (par == 0) & (lo <= 0) & (hi >= 0)
-    axis = np.zeros(int(on_axis.sum()), dtype=np.int64)
-    return 2 * run_dot(rows, 2 - par, hi) + run_dot(rows[on_axis], axis, axis)
+    n = np.maximum((hi - lo) // 2 + 1, 0)
+    i = np.repeat(rows, n)
+    j = np.repeat(lo, n) + 2 * (np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n))
+    return int(np.dot(_read_cells(table, i, j), _read_cells(table, i + sigma, j)))
 
 
 @given(st.sampled_from(RING_DS), st.booleans(), st.booleans(), st.data())
@@ -791,10 +783,12 @@ def test_min_cells_is_tight_on_large_boxes():
 
 @pytest.mark.parametrize("d", RING_DS)
 def test_row_record_matches_window_definition(d):
-    """Each row's stored j, and its window cells _window_lo(i)..yhi[i], are
-    the cells of the row's parity with lambda, lambda^sigma >= 0 and lambda - 1,
-    (lambda - 1)^sigma allowed by v1, v2; and lookup reads them as stated."""
+    """Each column's stored i, i0[c], i0[c] + sigma, ..., ihi[c], are the rows
+    whose window cell (i, j) has j's parity and lambda, lambda^sigma >= 0 and
+    lambda - 1, (lambda - 1)^sigma allowed by v1, v2; the columns cover every
+    stored j; and lookup reads each row's window as stated."""
     field, sigma = field_new(d), _sigma(d)
+    step = 3 - sigma
     rational = [Fraction(9, 2), Fraction(7), Fraction(10, 3)]
     inv_sqrt = [InvSqrtBound(d, Fraction(1, 9)), InvSqrtBound(d, Fraction(1, 20)),
                 InvSqrtBound(d, Fraction(sigma**2, d))]
@@ -815,22 +809,29 @@ def test_row_record_matches_window_definition(d):
                     cells.append(j)
             return cells
 
+        lattice = {i: [j for j in window(i) if (j - (i & (sigma - 1))) % 2 == 0]
+                   for i in range(table.imax + 1)}
+        stored_j = {j for cells in lattice.values() for j in cells if j >= 0 or not symmetric}
+        n_cols = len(table.i0)
+        assert table.col_start[0] == 0 and table.col_start[n_cols] == table.cells
+        assert stored_j <= set(range(table.j0, table.j0 + step * n_cols, step)), (v1, v2)
+        for c in range(n_cols):
+            j = table.j0 + step * c
+            i0, ihi = int(table.i0[c]), int(table.ihi[c])
+            rows = [i for i in lattice if j in lattice[i]]
+            assert list(range(i0, ihi + 1, sigma)) == rows and ihi >= i0 - sigma, (v1, v2, j)
+            assert table.col_start[c + 1] - table.col_start[c] == len(rows)
+
         for i in range(table.imax + 1):
-            par = table._parity(i)
-            lattice = [j for j in window(i) if (j - par) % 2 == 0]
-            y0, yhi = int(table.y0[i]), int(table.yhi[i])
-            stored = [j for j in lattice if j >= 0] if symmetric else lattice
-            assert list(range(y0, yhi + 1, 2)) == stored and yhi >= y0 - 2, (v1, v2, i)
-            assert table.row_start[i + 1] - table.row_start[i] == len(stored)
-            lo = int(table._window_lo(i))
-            assert list(range(lo, yhi + 1, 2)) == lattice, (v1, v2, i)
-            if lattice:  # one lattice step past either edge
+            par = i & (sigma - 1)  # the parity of the row's stored j
+            lo, yhi = (lattice[i][0], lattice[i][-1]) if lattice[i] else (par, par - 2)
+            if lattice[i]:  # one lattice step past either edge
                 for j in (lo - 2, yhi + 2):
                     with pytest.raises(OutOfRange):
                         table.lookup(i, j)
             for j in (lo - 1, yhi + 1, yhi + 41):  # off parity, in the window or not
                 assert table.lookup(i, j) == 0, (v1, v2, i, j)
-            for j in lattice:
+            for j in lattice[i]:
                 if symmetric and j < 0:
                     assert table.lookup(i, j) == table.lookup(i, -j)
                     mirrored += table.lookup(i, j) > 0
@@ -838,7 +839,7 @@ def test_row_record_matches_window_definition(d):
         assert not any(window(i) for i in range(table.imax + 1, table.imax + 4)), (v1, v2)
         for i in (-1, table.imax + 1):
             with pytest.raises(OutOfRange):
-                table.lookup(i, table._parity(i))
+                table.lookup(i, i & (sigma - 1))
     assert mirrored > 0
 
 
