@@ -459,7 +459,8 @@ THIN = "thin"
 
 
 def _sides(d, symmetric, data):
-    """The sides of a drawn box, or of the table-scale box when data is None."""
+    """The sides of a drawn box; of the table-scale box when data is None,
+    and of the thin box for THIN."""
     if data is None:
         return Fraction(3001, 2), Fraction(3001, 2)
     if data == THIN:
