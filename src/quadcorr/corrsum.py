@@ -397,37 +397,42 @@ class RepTable:
         # points with 2 i <= imax
         narrow = 8 * int(np.count_nonzero(2 * si <= self.imax)) <= _NARROW_CELL_LIMIT
         dtype = np.uint16 if narrow else np.int32
+        flat = np.zeros(self.cells, dtype=dtype)
+        # a pair {t, s} adds 2 sw_t sw_s = 8 unless s = t, which adds sw_t^2 to
+        # 2 xi_t^2 (a cell that can leave the window), or t is the zero point, which
+        # adds 2 sw_s to xi_s^2; each pass hits distinct cells, so a plain scatter-add is exact
+        nz = si > 0
+        for ii, jj, w in ((2 * si, 2 * sj, sw * sw), (si[nz], sj[nz], 2 * sw[nz])):
+            stored, k = self._locate(ii, jj)
+            flat[k[stored]] += w[stored].astype(dtype)
         sigma, j0 = self.sigma, self.j0
-        order = np.lexsort((si, sj))
-        si, sj, sw = si[order], sj[order], sw[order].astype(dtype)
-        # the partners s >= t of t whose sum lands on a column, j0 <= j <= j_last,
-        # are s in [max(t, first[t]), last[t]); last falls as t rises, so the t
-        # with any partner come first
+        order = np.lexsort((si[nz], sj[nz]))
+        si, sj = si[nz][order], sj[nz][order]
+        # the partners s > t of t whose sum lands on a column, j0 <= j <= j_last,
+        # are s in [max(t + 1, first[t]), last[t]); last falls as t rises, so the
+        # t with any partner come first
         j_last = j0 + (3 - sigma) * (len(self.i0) - 1)
         first = np.searchsorted(sj, j0 - sj)
         last = np.searchsorted(sj, j_last - sj, side="right")
         # xi_t^2 + xi_s^2 is on column c = u[t] + u[s] - u0, at flat[(off[c] + i) >> (sigma - 1)]
         u, u0 = sj >> (2 - sigma), j0 >> (2 - sigma)
-        i0, ihi, off = self.i0, self.ihi, sigma * self.col_start[:-1] - self.i0
-        flat = np.zeros(self.cells, dtype=dtype)
-        for t in range(int(np.count_nonzero(last > np.arange(n_pts)))):
-            a, b = max(t, int(first[t])), int(last[t])
+        ihi, off = self.ihi, sigma * self.col_start[:-1] - self.i0
+        eight = dtype(8)  # a Python 8 would take np.add.at's slow generic path
+        for t in range(int(np.count_nonzero(last > np.arange(1, len(si) + 1)))):
+            a, b = max(t + 1, int(first[t])), int(last[t])
             ii = si[a:b] + si[t]
             c = u[a:b] + (u[t] - u0)
-            keep = np.flatnonzero((ii >= i0[c]) & (ii <= ihi[c]))
-            ww = sw[a:b][keep] * (2 * sw[t])
-            if a == t and len(keep) and keep[0] == 0:
-                ww[0] //= 2  # s = t is one ordered pair, not two
-            # s -> xi_t^2 + xi_s^2 is a translation and the xi_s^2 are distinct,
-            # so the cells of one t are distinct and a plain scatter-add is exact
-            flat[(off[c[keep]] + ii[keep]) >> (sigma - 1)] += ww
+            # ii >= i0[c] needs no test: a sum of two squares is totally nonnegative,
+            # so row ii has top = floor(ii / sqrt d) >= |jj|, and i0[c] is the first
+            # row of jj's parity with top >= |jj| (_compute_rows)
+            np.add.at(flat, (off[c] + ii)[ii <= ihi[c]] >> (sigma - 1), eight)
         self.flat = flat
 
     # -- access -----------------------------------------------------------
 
     def _locate(self, i, j):
-        """(stored, k) for cells (i, j) of the stored parity, ints or int64
-        arrays: whether each is a stored cell, and if so its place flat[k]."""
+        """(stored, k) for cells (i, j) of the stored parity, int64 arrays:
+        whether each is a stored cell, and if so its place flat[k]."""
         c = (j - self.j0) >> (2 - self.sigma)
         cc = c % len(self.i0)  # c itself when c names a column
         i0 = self.i0[cc]
@@ -442,10 +447,11 @@ class RepTable:
             raise OutOfRange(f"row {i} lies outside the stored window")
         if (j - (i & (self.sigma - 1))) % 2 != 0:  # j = i (mod 2) when sigma = 2, else even
             return 0
-        stored, k = self._locate(i, abs(j) if self.symmetric else j)
-        if not stored:
-            raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
-        return int(self.flat[k])
+        # _locate's test on Python ints, which cost a third of numpy scalars
+        c = ((abs(j) if self.symmetric else j) - self.j0) >> (2 - self.sigma)
+        if 0 <= c < len(self.i0) and (i0 := self.i0.item(c)) <= i <= self.ihi.item(c):
+            return self.flat.item(self.col_start.item(c) + ((i - i0) >> (self.sigma - 1)))
+        raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
 
     def value(self, lam: QuadInt) -> int:
         """r(lambda) for a ring element inside the window."""

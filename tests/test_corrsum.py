@@ -460,11 +460,13 @@ THIN = "thin"
 
 def _sides(d, symmetric, data):
     """The sides of a drawn box; of the table-scale box when data is None,
-    and of the thin box for THIN."""
+    of the thin box for THIN, and data itself when it is a pair of sides."""
     if data is None:
         return Fraction(3001, 2), Fraction(3001, 2)
     if data == THIN:
         return Fraction(3000), InvSqrtBound(d, Fraction(3000))
+    if isinstance(data, tuple):
+        return data
     if symmetric:
         v = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
         return v, v
@@ -476,11 +478,38 @@ def _sides(d, symmetric, data):
 @example(d=2, symmetric=True, data=None)
 @example(d=2, symmetric=False, data=THIN)
 @example(d=5, symmetric=False, data=THIN)
+# s = t adds to 2 xi^2 apart from the other pairs: here such a cell is the last
+# of its column, one lies past its column's last row, and (symmetric) one has j < 0
+@example(d=17, symmetric=False, data=(Fraction(7), Fraction(14)))
+@example(d=3, symmetric=False, data=(Fraction(13), Fraction(27, 2)))
+@example(d=2, symmetric=True, data=(Fraction(15), Fraction(15)))
 def test_build_matches_reference_accumulation(d, symmetric, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
     table = build_rep_table(field, v1, v2, symmetric=symmetric)
     assert (table.flat == _reference_flat(table)).all()
+
+
+@pytest.mark.parametrize("d", RING_DS)
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_pair_sums_never_precede_their_column(d, symmetric):
+    """_build tests a swept pair's row ii against its column's last row only:
+    xi_t^2 + xi_s^2 is totally nonnegative, so ii >= i0[c]. Checked here on
+    every pair of square points whose sum lands on a stored column."""
+    field = field_new(d)
+    if symmetric:
+        boxes = [(Fraction(40), Fraction(40)), (Fraction(121, 3), Fraction(121, 3))]
+    else:
+        boxes = [(Fraction(81, 2), Fraction(40)), (Fraction(40), InvSqrtBound(d, Fraction(40))),
+                 (InvSqrtBound(d, Fraction(1, 1000)), Fraction(55, 3))]
+    for v1, v2 in boxes:
+        table = build_rep_table(field, v1, v2, symmetric=symmetric)
+        si, sj, _ = table._square_points()
+        ii, jj = si[:, None] + si, sj[:, None] + sj
+        c = (jj - table.j0) >> (2 - table.sigma)
+        on = (c >= 0) & (c < len(table.i0))
+        assert on.sum() > len(si)
+        assert (ii[on] >= table.i0[c[on]]).all(), (v1, v2)
 
 
 def _window_cells(table):
