@@ -1,0 +1,107 @@
+"""Compare the CLI's exit codes and stdout between this checkout and another.
+
+    python3 scripts/same_output.py BASE
+
+BASE is the root of another checkout of this repository, for example the
+parent commit unpacked with `git archive`. The argv run are every op of the
+benchmark's workloads (`perfbench/workloads.py`, imported read-only) for
+seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
+rational forms. Each checkout runs them all through `quadcorr.cli.main` in
+its own process, with its own `src` on the path. The script prints each
+argv whose exit code or stdout differ, and exits 1 if any do.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+EXTRA = [
+    ["table-c"],
+    ["table-c", "--format", "csv"],
+    ["table-c", "--d", "2", "13", "--format", "json"],
+    ["verify", "--format", "json"],
+    ["constant", "--d", "99999973"],
+    ["constant", "--d", "5", "--format", "csv"],
+    ["constant", "--d", "5", "--format", "json"],
+    ["chi", "--d", "5"],
+    ["chi", "--d", "13", "--limit", "60", "--format", "json"],
+    ["correlate", "--d", "5", "--v1", "7/2", "--v2", "10/3"],
+    ["correlate", "--d", "2", "--v1", "2.5", "--v2", "3", "--oracle", "group", "--format", "json"],
+    ["table-f", "--d", "2", "--xmax", "10000", "--format", "csv"],
+    ["table-f", "--d", "3", "--xmax", "5000"],
+    ["table-g", "--d", "2", "--format", "csv"],
+    ["table-g", "--d", "5", "--v", "3000", "8000"],
+]
+
+# Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on
+# stdout. A crash is recorded by its exception type in place of the code.
+RUNNER = r"""
+import contextlib, io, json, os, sys
+import quadcorr.cli
+src = os.path.realpath("src")
+if not os.path.realpath(quadcorr.cli.__file__).startswith(src + os.sep):
+    sys.exit(f"quadcorr was imported from {quadcorr.cli.__file__}, not {src}")
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = quadcorr.cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:
+        code = type(exc).__name__
+    results.append([code, out.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _argvs() -> list[list[str]]:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    seen, argvs = set(), []
+    ops = [list(op.argv) for name in workloads.WORKLOADS for seed in (1, 2)
+           for op in workloads.build(name, seed).ops]
+    for argv in ops + EXTRA:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            argvs.append(argv)
+    return argvs
+
+
+def _run(checkout: str, argvs: list[list[str]]) -> list[list]:
+    env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
+    env.pop("QUADCORR_MEM_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps(argvs),
+                          capture_output=True, text=True, cwd=checkout, env=env)
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: runner failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("base", help="root of the checkout to compare against")
+    args = parser.parse_args()
+    argvs = _argvs()
+    ours, theirs = _run(ROOT, argvs), _run(os.path.abspath(args.base), argvs)
+    differ = 0
+    for argv, (code, out), (base_code, base_out) in zip(argvs, ours, theirs):
+        if code != base_code or out != base_out:
+            differ += 1
+            what = f"exit {base_code} -> {code}" if code != base_code else "stdout differs"
+            print(f"{what}: {' '.join(argv)}")
+    print(f"{len(argvs)} calls, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,18 +7,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma
-from .corrsum import (
-    InvSqrtBound,
-    build_rep_table,
-    correlation,
-    correlation_group_oracle,
-    f_deviation,
-    g_value,
-)
+from .corrsum import RepTable, correlation, correlation_group_oracle, f_deviation, g_ratio
 from .errors import CapacityExceeded, DepthExceeded, OutOfRange, QuadcorrError, ScaleGuard
 from .hilbertgroup import coset_bfs
 from .quadfield import field_new
@@ -27,6 +21,8 @@ from .selfcheck import run_verification
 
 C_TABLE_DS = [2, 3, 5, 6, 7, 101, 1001, 10001, 100001, 1000001]
 G_TABLE_VS = [10000, 20000, 30000, 40000, 50000]
+# largest chi --limit: each listed value costs about 360 bytes across the output forms
+CHI_LIMIT = 10**6
 
 _GUARD_ERRORS = (CapacityExceeded, ScaleGuard, DepthExceeded)
 
@@ -36,10 +32,6 @@ def _fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-
-
-def _frac_str(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
@@ -61,8 +53,8 @@ def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
 def _cmd_constant(args) -> int:
     field = field_new(args.d)
     c = c_constant(field)
-    payload = {"d": args.d, "c": _frac_str(c)}
-    _emit(args, payload, [f"C_{args.d} = {_frac_str(c)}"])
+    payload = {"d": args.d, "c": str(c)}
+    _emit(args, payload, [f"C_{args.d} = {c}"])
     return 0
 
 
@@ -74,6 +66,8 @@ def _cmd_chi(args) -> int:
         _emit(args, payload, [f"chi({args.n}) = {value}"], [["n", "chi"], [args.n, value]])
         return 0
     limit = args.limit if args.limit is not None else min(field.delta, 100)
+    if limit > CHI_LIMIT:
+        raise ScaleGuard(f"--limit {limit} exceeds {CHI_LIMIT}")
     values = {n: field.chi(n) for n in range(1, limit + 1)}
     payload = {"d": args.d, "delta": field.delta,
                "values": {str(n): v for n, v in values.items()}}
@@ -158,6 +152,10 @@ def _cmd_rcount(args) -> int:
 
 def _cmd_correlate(args) -> int:
     field = field_new(args.d)
+    path = args.dump_table
+    # before any table: a path open() would refuse only after the whole build
+    if path and (os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK)):
+        raise OutOfRange(f"cannot write the table to {path!r}")
     include = not args.exclude_lambda_zero
     oracle = None
     if args.oracle == "group":
@@ -165,11 +163,11 @@ def _cmd_correlate(args) -> int:
         # large table allocation
         oracle = correlation_group_oracle(field, args.v1, args.v2,
                                           include_lambda_zero=include)
-    table = build_rep_table(field, args.v1, args.v2, memory_budget=args.memory_budget)
+    table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
     res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include)
     payload = res.to_json_dict()
     lines = [
-        f"N_{args.d}({_frac_str(args.v1)}, {_frac_str(args.v2)}) = {res.n_value}",
+        f"N_{args.d}({args.v1}, {args.v2}) = {res.n_value}",
         f"main term C_D*V1*V2 = {res.main_term!r}",
         f"deviation = {res.deviation!r}",
     ]
@@ -177,10 +175,10 @@ def _cmd_correlate(args) -> int:
         payload["oracle_n_value"] = oracle
         payload["oracle_matches"] = oracle == res.n_value
         lines.append(f"group-sum oracle = {oracle} ({'match' if oracle == res.n_value else 'MISMATCH'})")
-    if args.dump_table:
-        with open(args.dump_table, "w", encoding="utf-8") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
             table.write_csv(fh)
-        lines.append(f"table written to {args.dump_table}")
+        lines.append(f"table written to {path}")
     _emit(args, payload, lines)
     if args.oracle == "group" and not payload["oracle_matches"]:
         return 1
@@ -189,21 +187,17 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_table_f(args) -> int:
     field = field_new(args.d)
-    checkpoints = args.checkpoints
-    if not checkpoints:
-        checkpoints = [x for x in range(5000, args.xmax + 1, 5000)] or [args.xmax]
     include = not args.exclude_lambda_zero
-    points = f_deviation(field, args.xmax, checkpoints, include_lambda_zero=include,
+    points = f_deviation(field, args.xmax, args.checkpoints, include_lambda_zero=include,
                          memory_budget=args.memory_budget)
     rows = [["x", "F", "F_inclusive"]]
     body = []
     lines = []
     for pt in points:
-        rows.append([pt.x, _frac_str(pt.f_strict), _frac_str(pt.f_inclusive)])
-        body.append({"x": pt.x, "f": _frac_str(pt.f_strict),
-                     "f_inclusive": _frac_str(pt.f_inclusive)})
+        rows.append([pt.x, str(pt.f_strict), str(pt.f_inclusive)])
+        body.append({"x": pt.x, "f": str(pt.f_strict), "f_inclusive": str(pt.f_inclusive)})
         note = "" if pt.f_strict == pt.f_inclusive else "   (conventions differ)"
-        lines.append(f"F({pt.x}) = {_frac_str(pt.f_strict)}{note}")
+        lines.append(f"F({pt.x}) = {pt.f_strict}{note}")
     payload = {"d": args.d, "xmax": args.xmax, "include_lambda_zero": include, "rows": body}
     _emit(args, payload, lines, rows)
     return 0
@@ -219,12 +213,10 @@ def _cmd_table_g(args) -> int:
     lines = []
     rows = [["v", "n_value", "g"]]
     for v in vs:
-        res = correlation(field, v, InvSqrtBound(field.d, Fraction(v)),
-                          include_lambda_zero=include, memory_budget=args.memory_budget)
-        g = g_value(res, v)
-        body.append({"v": _frac_str(Fraction(v)), "n_value": res.n_value, "g": g})
-        rows.append([_frac_str(Fraction(v)), res.n_value, f"{g:.6f}"])
-        lines.append(f"V={_frac_str(Fraction(v))}: N = {res.n_value}, G = {g:.6f}")
+        n, g = g_ratio(field, v, include_lambda_zero=include, memory_budget=args.memory_budget)
+        body.append({"v": str(v), "n_value": n, "g": g})
+        rows.append([v, n, f"{g:.6f}"])
+        lines.append(f"V={v}: N = {n}, G = {g:.6f}")
     payload = {"d": args.d, "include_lambda_zero": include, "rows": body}
     _emit(args, payload, lines, rows)
     return 0
@@ -237,9 +229,9 @@ def _cmd_table_c(args) -> int:
     rows = [["d", "c"]]
     for d in ds:
         c = c_constant(field_new(d))
-        body.append({"d": d, "c": _frac_str(c)})
-        rows.append([d, _frac_str(c)])
-        lines.append(f"C_{d} = {_frac_str(c)}")
+        body.append({"d": d, "c": str(c)})
+        rows.append([d, str(c)])
+        lines.append(f"C_{d} = {c}")
     payload = {"rows": body}
     _emit(args, payload, lines, rows)
     return 0
@@ -357,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
     except _GUARD_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (QuadcorrError, ValueError) as exc:
+    except (QuadcorrError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -35,6 +35,7 @@ import csv
 import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt, sqrt
 
@@ -47,6 +48,8 @@ from .quadfield import FieldData, QuadInt, RingClass, sign_quad
 DEFAULT_MEMORY_BUDGET = 2 << 30
 MEMORY_BUDGET_ENV = "QUADCORR_MEM_BUDGET"
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
+# spacing of F's default checkpoints
+F_CHECKPOINT_STEP = 5000
 # largest value of an int32 table cell, and of a uint16 one
 _CELL_LIMIT = 2**31 - 1
 _NARROW_CELL_LIMIT = 2**16 - 1
@@ -99,8 +102,7 @@ class RationalBound:
         return float(self.value)
 
     def describe(self) -> str:
-        v = self.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(self.value)
 
 
 class InvSqrtBound:
@@ -482,12 +484,6 @@ class RepTable:
         writer.writerows(zip(i[order].tolist(), j[order].tolist(), r[order].tolist()))
 
 
-def build_rep_table(field: FieldData, v1, v2, *, symmetric: bool | None = None,
-                    memory_budget: int | None = None) -> RepTable:
-    """Populate the r-value table for the extended box (v1+1, v2+1)."""
-    return RepTable(field, v1, v2, symmetric=symmetric, memory_budget=memory_budget)
-
-
 # ---------------------------------------------------------------------------
 # Correlation over the half-open box.
 # ---------------------------------------------------------------------------
@@ -548,12 +544,12 @@ def _strict_row_range(table: RepTable) -> int | None:
 
 
 def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
-                include_lambda_zero: bool = True, symmetric: bool | None = None,
+                include_lambda_zero: bool = True,
                 memory_budget: int | None = None) -> CorrelationResult:
-    """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box."""
+    """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box,
+    from the given table of that box or from a new one."""
     if table is None:
-        table = build_rep_table(field, v1, v2, symmetric=symmetric,
-                                memory_budget=memory_budget)
+        table = RepTable(field, v1, v2, memory_budget=memory_budget)
     else:
         want1 = make_bound(field, v1).describe()
         want2 = make_bound(field, v2).describe()
@@ -589,28 +585,23 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
 
 
 def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool = True,
-                     symmetric: bool | None = True, memory_budget: int | None = None,
-                     table: RepTable | None = None) -> np.ndarray:
-    """N_D(V, V) for every integer V = 0..xmax, as one int64 array.
+                     memory_budget: int | None = None) -> np.ndarray:
+    """N_D(V, V) for every integer V = 0..xmax, as one int64 array, from the
+    table of the box (xmax, xmax), which stores the columns j >= 0 alone.
 
     The products of _products are bucketed by the first integer V whose box
     contains their cell, which is floor(max(lambda, lambda^sigma)) + 1, and
-    the buckets are prefix-summed. A given table must have rational bounds
-    of at least xmax, else OutOfRange.
+    the buckets are prefix-summed.
     """
     if xmax < 0:
         raise OutOfRange("xmax must be >= 0")
-    if table is None:
-        table = build_rep_table(field, xmax, xmax, symmetric=symmetric,
-                                memory_budget=memory_budget)
-    elif not all(isinstance(b, RationalBound) and b.value >= xmax for b in (table.v1, table.v2)):
-        raise OutOfRange(f"the table's bounds do not cover V = {xmax}")
+    table = RepTable(field, xmax, xmax, memory_budget=memory_budget)
     buckets = np.zeros(xmax + 1, dtype=np.int64)
 
-    # max(lambda, lambda^sigma) = (i + floor(|j| sqrt d)) / sigma rises by one per
+    # max(lambda, lambda^sigma) = (i + floor(j sqrt d)) / sigma rises by one per
     # cell of a column, so the bucket of the cell k of column c is k + shift[c]
-    jabs = np.abs(table.j0 + (3 - table.sigma) * np.arange(len(table.i0))).astype(object)
-    fl = _isqrt(jabs * jabs * field.d).astype(np.int64)
+    j = (table.j0 + (3 - table.sigma) * np.arange(len(table.i0))).astype(object)
+    fl = _isqrt(j * j * field.d).astype(np.int64)
     shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
     starts = table.col_start.tolist()
 
@@ -638,12 +629,14 @@ class FCheckpoint:
 def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = None,
                 *, include_lambda_zero: bool = True,
                 memory_budget: int | None = None) -> list[FCheckpoint]:
-    """Deviation suprema on the integer grid V in {1, ..., xmax}."""
+    """Deviation suprema on the integer grid V in {1, ..., xmax}, at the given
+    checkpoints; by default (None or empty) at every multiple of
+    F_CHECKPOINT_STEP up to xmax, or at xmax alone below the first."""
     if xmax < 1:
         raise OutOfRange("xmax must be >= 1")
-    if checkpoints is None:
-        checkpoints = [xmax]
-    if any(c < 1 or c > xmax for c in checkpoints):
+    if not checkpoints:  # a lazy range: nothing is spent on it before the table's guards
+        checkpoints = range(F_CHECKPOINT_STEP, xmax + 1, F_CHECKPOINT_STEP) or [xmax]
+    elif any(c < 1 or c > xmax for c in checkpoints):
         raise OutOfRange("checkpoints must lie in [1, xmax]")
     grid = correlation_grid(field, xmax, include_lambda_zero=include_lambda_zero,
                             memory_budget=memory_budget)
@@ -663,22 +656,16 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
     return out
 
 
-def g_value(res: CorrelationResult, v) -> float:
-    """G(v) = N_D(v, v**(-1/2)) / (C_D sqrt(v)) from the correlation result
-    for that box; its callers check v > 1 before the box is built."""
-    c = Fraction(res.c_num, res.c_den)
-    return res.n_value / (float(c) * sqrt(Fraction(v)))
-
-
 def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
-            memory_budget: int | None = None) -> float:
-    """N_D(v, v**(-1/2)) / (C_D sqrt(v)) for rational v > 1."""
+            memory_budget: int | None = None) -> tuple[int, float]:
+    """(N, G) for rational v > 1: N = N_D(v, v**(-1/2)) and the thin ratio
+    G = N / (C_D sqrt(v))."""
     v = Fraction(v)
     if v <= 1:
         raise OutOfRange("g_ratio needs v > 1")
     res = correlation(field, v, InvSqrtBound(field.d, v),
                       include_lambda_zero=include_lambda_zero, memory_budget=memory_budget)
-    return g_value(res, v)
+    return res.n_value, res.n_value / (float(Fraction(res.c_num, res.c_den)) * sqrt(v))
 
 
 # ---------------------------------------------------------------------------
@@ -710,13 +697,12 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     # the box has P < v1 + v2 <= ceil(v1) + ceil(v2), so all pairs of
     # lambda + 1 (2 P + 4) are within smax: count[lambda + 1] = r(lambda + 1)
     smax = 2 * (b1.ceil() + b2.ceil()) + 4
-    # the work estimate from the same bound; past float range it is infinite
-    parity_factor = 4.0 if one else 16.0
-    try:
-        est = 100.0 + (9.87 / 2.0) * smax * smax / (d * parity_factor)
-    except OverflowError:
-        est = float("inf")
-    if est > ORACLE_QUADRUPLE_LIMIT:
+    # the work estimate 100 + 4.935 smax^2 / (d p) from the same bound, p = 4 when
+    # d = 1 mod 4 and 16 otherwise, compared in exact integers at any magnitude
+    dp = d * (4 if one else 16)
+    work = 20000 * dp + 987 * smax * smax  # the estimate times 200 d p
+    if work > 200 * dp * ORACLE_QUADRUPLE_LIMIT:
+        est = Decimal(work) / (200 * dp)
         raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
 
     count: dict[tuple[int, int], int] = {}

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma, kronecker
-from .corrsum import build_rep_table, correlation, correlation_group_oracle
+from .corrsum import RepTable, correlation, correlation_group_oracle
 from .errors import NotSquarefree, OutOfRange
 from .hilbertgroup import (
     coset_bfs,
@@ -111,7 +111,7 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     bad = 0
     for d in (2, 5):
         f = field_new(d)
-        table = build_rep_table(f, box, box, symmetric=False)
+        table = RepTable(f, box, box, symmetric=False)
         for lam in _lattice_points(f, box):
             if table.value(lam) != r_brute(f, lam):
                 bad += 1
@@ -167,8 +167,8 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
 
     # the symmetric table layout against full storage
     f2 = field_new(2)
-    base = correlation(f2, 300, 300, symmetric=True).n_value
-    alt = correlation(f2, 300, 300, symmetric=False).n_value
+    base = correlation(f2, 300, 300).n_value
+    alt = correlation(f2, 300, 300, table=RepTable(f2, 300, 300, symmetric=False)).n_value
     add("storage-determinism", base == alt, f"symmetric {base} vs full {alt}")
 
     return results

@@ -2,9 +2,10 @@ import contextlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcorr import cli, corrsum, quadfield, selfcheck
@@ -75,6 +76,30 @@ def test_correlate_dump_table(tmp_path, capsys):
     assert lines[1] == "x,y,r"
 
 
+@pytest.mark.parametrize("path", ["/nonexistent/x.csv", "."])
+def test_dump_table_path_refused_before_any_table(capsys, monkeypatch, path):
+    def table_built(self):
+        raise AssertionError("a table was built before the dump path was checked")
+
+    monkeypatch.setattr(corrsum.RepTable, "_build", table_built)
+    for oracle in ([], ["--oracle", "group"]):
+        code, out, err = run(capsys, "correlate", "--d", "2", "--v1", "2", "--v2", "2",
+                             "--dump-table", path, *oracle)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_dump_table_write_error_exit_code(tmp_path, capsys, monkeypatch):
+    def disk_full(self, stream):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(corrsum.RepTable, "write_csv", disk_full)
+    code, out, err = run(capsys, "correlate", "--d", "2", "--v1", "3", "--v2", "3",
+                         "--dump-table", str(tmp_path / "table.csv"))
+    assert code == 2
+    assert out == "" and err == "error: No space left on device\n"
+
+
 def test_chi_single_value(capsys):
     code, payload, _ = run_json(capsys, "chi", "--d", "2", "--n", "3")
     assert code == 0
@@ -141,6 +166,32 @@ def test_table_f_small(capsys):
                                 "--checkpoints", "25", "50")
     assert code == 0
     assert [row["x"] for row in payload["rows"]] == [25, 50]
+
+
+def test_table_f_default_checkpoints_cost_nothing_before_the_guard(capsys):
+    # 2e5 default checkpoints, but the table is refused before any is listed
+    main(["table-f", "--d", "2", "--xmax", "30"])  # warm up lazily built state
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "table-f", "--d", "2", "--xmax", "1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert out == "" and err.startswith("error: ")
+    assert peak < 1 << 20
+
+
+def test_chi_limit_refused_before_any_value(capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "chi", "--d", "2", "--limit", "100000000000")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == "" and err.startswith("error: ")
+    monkeypatch.setattr(cli, "CHI_LIMIT", 5)
+    assert run(capsys, "chi", "--d", "2", "--limit", "5")[1].count("chi(") == 5
+    assert run(capsys, "chi", "--d", "2", "--limit", "6")[0] == 3
 
 
 def test_validation_exit_code(capsys):
@@ -313,7 +364,8 @@ _FLAGS = {
     "cosets": {"--d": _D, "--depth-limit": _SMALL},
     "rcount": {"--d": _D, "--x": _SMALL, "--y": _SMALL},
     "correlate": {"--d": _D, "--v1": _SMALL, "--v2": _SMALL, "--oracle": st.just("group"),
-                  "--exclude-lambda-zero": st.none()},
+                  "--exclude-lambda-zero": st.none(),
+                  "--dump-table": st.sampled_from(("/nonexistent/x.csv", "."))},
     "table-f": {"--d": _D, "--xmax": _SMALL, "--checkpoints": st.lists(_SMALL, max_size=3),
                 "--exclude-lambda-zero": st.none()},
     # an empty --v list means the full default table
@@ -347,6 +399,7 @@ def _argv(draw):
 
 @given(_argv())
 @settings(max_examples=300, deadline=None)
+@example(["correlate", "--d", "2", "--v1", "2", "--v2", "2", "--dump-table", "/nonexistent/x.csv"])
 def test_cli_fuzz_exit_codes(argv):
     code, _, err = _call(argv)
     assert code in (0, 1, 2, 3), (argv, code)

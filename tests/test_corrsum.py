@@ -16,7 +16,6 @@ from quadcorr import (
     InvSqrtBound,
     OutOfRange,
     ScaleGuard,
-    build_rep_table,
     c_constant,
     correlation,
     correlation_grid,
@@ -48,13 +47,13 @@ def _sigma(d):
 
 def test_table_example_d2():
     f2 = field_new(2)
-    table = build_rep_table(f2, 3, 3)
+    table = RepTable(f2, 3, 3)
     assert [table.lookup(i, 0) for i in range(5)] == [1, 4, 8, 8, 8]
 
 
 def test_table_tiny_box():
     f2 = field_new(2)
-    table = build_rep_table(f2, 1, 1)
+    table = RepTable(f2, 1, 1)
     assert table.lookup(0, 0) == 1
     assert table.lookup(1, 0) == 4  # the lambda + 1 neighbour of 0
 
@@ -63,7 +62,7 @@ def test_table_tiny_box():
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_table_matches_brute_force(d, box, symmetric):
     field = field_new(d)
-    table = build_rep_table(field, box, box, symmetric=symmetric)
+    table = RepTable(field, box, box, symmetric=symmetric)
     checked = 0
     for lam in box_lambdas(field, box + 1):
         assert table.value(lam) == r_brute(field, lam), (d, lam.p, lam.q)
@@ -121,6 +120,28 @@ def test_oracle_scale_guard():
         correlation_group_oracle(field_new(2), 10**6, 10**6)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 17])
+def test_oracle_guard_boundary_matches_the_float_estimate(monkeypatch, d):
+    """The exact guard refuses the same boxes as the float work estimate it
+    replaced, 100 + 4.935 smax^2 / (d p), on both sides of the limit."""
+    limit = 2000
+    monkeypatch.setattr(corrsum, "ORACLE_QUADRUPLE_LIMIT", limit)
+    field, p = field_new(d), 4.0 if d % 4 == 1 else 16.0
+    sides = [Fraction(k, 2) for k in range(1, 400)]
+    refused = []
+    for v in sides:
+        smax = 2 * (2 * math.ceil(v)) + 4
+        float_refuses = 100.0 + (9.87 / 2.0) * smax * smax / (d * p) > limit
+        try:
+            correlation_group_oracle(field, v, v)
+        except ScaleGuard:
+            refused.append(v)
+            assert float_refuses, v
+        else:
+            assert not float_refuses, v
+    assert sides[0] < refused[0] < sides[-1]
+
+
 def test_monotonicity():
     f2 = field_new(2)
     values = {}
@@ -137,14 +158,14 @@ def test_monotonicity():
 def test_symmetric_storage_equals_full(d):
     field = field_new(d)
     for v in (5, 9, 14):
-        a = correlation(field, v, v, symmetric=True).n_value
-        b = correlation(field, v, v, symmetric=False).n_value
+        a = correlation(field, v, v).n_value
+        b = correlation(field, v, v, table=RepTable(field, v, v, symmetric=False)).n_value
         assert a == b, (d, v)
 
 
 def test_symmetric_requires_equal_bounds():
     with pytest.raises(OutOfRange):
-        build_rep_table(field_new(2), 3, 4, symmetric=True)
+        RepTable(field_new(2), 3, 4, symmetric=True)
 
 
 @pytest.mark.parametrize("d", [2, 5])
@@ -153,9 +174,6 @@ def test_grid_matches_pointwise_correlation(d):
     grid = correlation_grid(field, 15)
     for v in range(1, 16):
         assert grid[v] == correlation(field, v, v).n_value, (d, v)
-    # and the non-symmetric table gives the same grid
-    full = correlation_grid(field, 15, symmetric=False)
-    assert (grid == full).all()
 
 
 def test_grid_excluding_lambda_zero():
@@ -178,6 +196,12 @@ def test_f_deviation_small_values():
     assert by_x[12].f_inclusive == max(devs)
 
 
+def test_f_deviation_default_checkpoints():
+    f2 = field_new(2)
+    assert [p.x for p in f_deviation(f2, 12)] == [12]
+    assert f_deviation(f2, 12, []) == f_deviation(f2, 12, [12])
+
+
 def test_f_deviation_validates_checkpoints():
     with pytest.raises(OutOfRange):
         f_deviation(field_new(2), 10, checkpoints=[11])
@@ -187,8 +211,8 @@ def test_g_ratio_consistency():
     f2 = field_new(2)
     v = 500
     res = correlation(f2, v, InvSqrtBound(2, Fraction(v)))
-    expected = res.n_value / (8.0 * math.sqrt(v))
-    assert g_ratio(f2, v) == pytest.approx(expected, rel=1e-12)
+    n, g = g_ratio(f2, v)
+    assert n == res.n_value and g == pytest.approx(n / (8.0 * math.sqrt(v)), rel=1e-12)
     with pytest.raises(OutOfRange):
         g_ratio(f2, 1)
 
@@ -207,12 +231,12 @@ def test_invsqrt_bound_matches_float():
 
 def test_capacity_guard():
     with pytest.raises(CapacityExceeded):
-        build_rep_table(field_new(2), 4000, 4000, memory_budget=10_000)
+        RepTable(field_new(2), 4000, 4000, memory_budget=10_000)
 
 
 def test_csv_export_roundtrip():
     f5 = field_new(5)
-    table = build_rep_table(f5, 4, 4, symmetric=True)
+    table = RepTable(f5, 4, 4, symmetric=True)
     buf = io.StringIO()
     table.write_csv(buf)
     lines = buf.getvalue().strip().splitlines()
@@ -236,7 +260,7 @@ def test_csv_dump_lists_the_window_in_order(d):
     boxes = [(Fraction(9, 2), Fraction(9, 2), True), (Fraction(7, 2), Fraction(10, 3), False),
              (Fraction(9, 2), InvSqrtBound(d, Fraction(1, 3)), False)]
     for v1, v2, symmetric in boxes:
-        table = build_rep_table(field, v1, v2, symmetric=symmetric)
+        table = RepTable(field, v1, v2, symmetric=symmetric)
         buf = io.StringIO()
         table.write_csv(buf)
         lines = buf.getvalue().splitlines()
@@ -253,7 +277,7 @@ def test_symmetric_storage_footprint():
     # balanced case, d not 1 mod 4: about V^2 / (8 sqrt d) stored counters
     f2 = field_new(2)
     v = 1000
-    table = build_rep_table(f2, v, v, symmetric=True)
+    table = RepTable(f2, v, v, symmetric=True)
     predicted = v * v / (8 * math.sqrt(2))
     assert abs(table.cells - predicted) / predicted < 0.05
 
@@ -367,14 +391,14 @@ def test_conjugation_swap(d, data):
 def test_cell_overflow_guard(monkeypatch):
     # each square point adds at most 8 to a cell, so 8 * points bounds every counter
     field = field_new(2)
-    table = build_rep_table(field, 60, 60)
+    table = RepTable(field, 60, 60)
     n_pts = len(table._square_points()[0])
     assert int(table.flat.max()) <= 8 * n_pts
     monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts)
-    build_rep_table(field, 60, 60)
+    RepTable(field, 60, 60)
     monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts - 1)
     with pytest.raises(CapacityExceeded):
-        build_rep_table(field, 60, 60)
+        RepTable(field, 60, 60)
 
 
 def _narrow_points(table):
@@ -393,7 +417,7 @@ def test_cell_width_follows_the_proven_bound(d, symmetric, data):
         v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 60, max_denominator=7))
     else:
         v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
-    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    table = RepTable(field, v1, v2, symmetric=symmetric)
     m = _narrow_points(table)
     assert int(table.flat.max()) <= 8 * m
     narrow = 8 * m <= corrsum._NARROW_CELL_LIMIT
@@ -403,14 +427,14 @@ def test_cell_width_follows_the_proven_bound(d, symmetric, data):
 def test_narrow_cell_limit_picks_the_width(monkeypatch):
     # uint16 exactly when 8 m fits under the limit; both widths hold the same table
     field = field_new(5)
-    m = _narrow_points(build_rep_table(field, 60, 60))
+    m = _narrow_points(RepTable(field, 60, 60))
     built = {}
     for limit, dtype in ((8 * m, np.uint16), (8 * m - 1, np.int32)):
         monkeypatch.setattr(corrsum, "_NARROW_CELL_LIMIT", limit)
-        table = build_rep_table(field, 60, 60)
+        table = RepTable(field, 60, 60)
         assert table.flat.dtype == dtype
         built[dtype] = (table.flat, correlation(field, 60, 60, table=table).n_value,
-                        correlation_grid(field, 60, table=table))
+                        correlation_grid(field, 60))
     (flat_a, n_a, grid_a), (flat_b, n_b, grid_b) = built.values()
     assert (flat_a == flat_b).all() and n_a == n_b and (grid_a == grid_b).all()
 
@@ -428,8 +452,8 @@ def test_wide_edge_rows_charged_before_the_work():
     finally:
         tracemalloc.stop()
     with pytest.raises(CapacityExceeded):
-        build_rep_table(field, v1, v2, memory_budget=need - 1)
-    build_rep_table(field, v1, v2, memory_budget=2 * need)
+        RepTable(field, v1, v2, memory_budget=need - 1)
+    RepTable(field, v1, v2, memory_budget=2 * need)
 
 
 def _reference_flat(table):
@@ -486,7 +510,7 @@ def _sides(d, symmetric, data):
 def test_build_matches_reference_accumulation(d, symmetric, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
-    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    table = RepTable(field, v1, v2, symmetric=symmetric)
     assert (table.flat == _reference_flat(table)).all()
 
 
@@ -503,7 +527,7 @@ def test_pair_sums_never_precede_their_column(d, symmetric):
         boxes = [(Fraction(81, 2), Fraction(40)), (Fraction(40), InvSqrtBound(d, Fraction(40))),
                  (InvSqrtBound(d, Fraction(1, 1000)), Fraction(55, 3))]
     for v1, v2 in boxes:
-        table = build_rep_table(field, v1, v2, symmetric=symmetric)
+        table = RepTable(field, v1, v2, symmetric=symmetric)
         si, sj, _ = table._square_points()
         ii, jj = si[:, None] + si, sj[:, None] + sj
         c = (jj - table.j0) >> (2 - table.sigma)
@@ -528,8 +552,7 @@ def _window_cells(table):
 def test_table_matches_brute_force_per_cell(d):
     # every window cell of a small full table, against a direct count
     field = field_new(d)
-    table = build_rep_table(field, Fraction(9, 2), InvSqrtBound(d, Fraction(1, 3)),
-                            symmetric=False)
+    table = RepTable(field, Fraction(9, 2), InvSqrtBound(d, Fraction(1, 3)), symmetric=False)
     sigma = _sigma(d)
     for i, j in _window_cells(table):
         if (i - j) % 2 and sigma == 2:
@@ -538,14 +561,12 @@ def test_table_matches_brute_force_per_cell(d):
         assert table.lookup(i, j) == r_brute(field, lam), (i, j)
 
 
-@given(st.sampled_from(RING_DS), st.integers(1, 40), st.booleans(), st.booleans())
+@given(st.sampled_from(RING_DS), st.integers(1, 40), st.booleans())
 @settings(max_examples=40, deadline=None)
-@example(d=5, xmax=150, symmetric=True, include_zero=False)
-def test_grid_matches_pointwise_on_every_ring_class(d, xmax, symmetric,
-                                                    include_zero):
+@example(d=5, xmax=150, include_zero=False)
+def test_grid_matches_pointwise_on_every_ring_class(d, xmax, include_zero):
     field = field_new(d)
-    grid = correlation_grid(field, xmax, include_lambda_zero=include_zero,
-                            symmetric=symmetric)
+    grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
     for v in range(1, xmax + 1):
         res = correlation(field, v, v, include_lambda_zero=include_zero)
         assert grid[v] == res.n_value, (d, v)
@@ -555,12 +576,17 @@ def test_grid_exact_past_float_precision():
     # scaling every cell by an odd c multiplies every product by c^2; the
     # products then reach about 2^60, where float64 sums drop low bits
     field = field_new(5)
-    table = build_rep_table(field, 20, 20)
-    plain = correlation_grid(field, 20, table=table)
+    plain = correlation_grid(field, 20)
     c = 2**25 + 1
-    assert int(table.flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
-    table.flat = table.flat.astype(np.int32) * c  # cells at a wide table's scale
-    assert (correlation_grid(field, 20, table=table) == plain * (c * c)).all()
+    assert int(RepTable(field, 20, 20).flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
+    build = RepTable._build
+
+    def scaled(table):  # cells at a wide table's scale
+        build(table)
+        table.flat = table.flat.astype(np.int32) * c
+
+    with mock.patch.object(RepTable, "_build", scaled):
+        assert (correlation_grid(field, 20) == plain * (c * c)).all()
 
 
 def _read_cells(table, i, j):
@@ -608,7 +634,7 @@ def _reference_correlation(table, include_lambda_zero):
 def test_correlation_matches_reference_route(d, symmetric, include_zero, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
-    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    table = RepTable(field, v1, v2, symmetric=symmetric)
     got = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero)
     assert got.n_value == _reference_correlation(table, include_zero)
 
@@ -617,7 +643,7 @@ def test_correlation_exact_past_int64():
     # with every nonzero cell at 2^31 - 1 each product is about 2^62 (2^63
     # doubled), so the products of one band sum far past 2^63
     field = field_new(2)
-    table = build_rep_table(field, 40, 40)
+    table = RepTable(field, 40, 40)
     table.flat = (table.flat > 0).astype(np.int32)  # a wide table's cells
     ones = correlation(field, 40, 40, table=table).n_value
     table.flat *= 2**31 - 1
@@ -640,27 +666,6 @@ def test_monotone_in_each_bound(d, data):
         return correlation(field, a, b, include_lambda_zero=include_zero).n_value
 
     assert n(w, v2) >= n(v1, v2) and n(v2, w) >= n(v2, v1)
-
-
-@pytest.mark.parametrize("d", [2, 5])
-def test_grid_from_a_larger_table(d):
-    # cells of a table built for a larger box fall past the grid and are left out
-    field = field_new(d)
-    table = build_rep_table(field, 30, 30)
-    assert (correlation_grid(field, 12, table=table) == correlation_grid(field, 12)).all()
-
-
-# a table short of xmax on either side, or with an irrational side, lacks cells
-# the grid needs: from (10, 10), N(15, 15) would read 964, not 1924
-@pytest.mark.parametrize("v1, v2, xmax", [
-    (10, 10, 15), (30, 10, 15), (10, 30, 15), (30, InvSqrtBound(2, Fraction(1, 900)), 12),
-])
-def test_grid_refuses_a_table_short_of_xmax(v1, v2, xmax):
-    field = field_new(2)
-    assert correlation(field, 15, 15).n_value == 1924
-    table = build_rep_table(field, v1, v2)
-    with pytest.raises(OutOfRange):
-        correlation_grid(field, xmax, table=table)
 
 
 def _reference_oracle(field, v1, v2, *, include_lambda_zero=True):
@@ -763,7 +768,7 @@ def test_closed_and_half_open_boxes_differ_in_one_axis_cell(d):
     on_edge = 0
     for v1 in bounds:
         for v2 in bounds:
-            table = build_rep_table(field, v1, v2)
+            table = RepTable(field, v1, v2)
 
             def inside(i, j, strict):
                 p, q = _doubled(i, j, sigma)
@@ -793,20 +798,20 @@ def test_min_cells_is_a_lower_bound_that_refuses_early(d, symmetric, data):
                                    st.integers(1, 100), st.integers(1, 500)))
         if data.draw(st.booleans()):
             v1, v2 = v2, v1
-    table = build_rep_table(field, v1, v2, symmetric=symmetric)
+    table = RepTable(field, v1, v2, symmetric=symmetric)
     low = _min_cells(table.v1, table.v2, table.sigma, symmetric)
     assert 0 <= low <= table.cells
     if low:
         # one byte short of the cells alone: refused before any row is computed
         with mock.patch.object(RepTable, "_compute_rows", side_effect=AssertionError):
             with pytest.raises(CapacityExceeded):
-                build_rep_table(field, v1, v2, symmetric=symmetric, memory_budget=4 * low - 1)
+                RepTable(field, v1, v2, symmetric=symmetric, memory_budget=4 * low - 1)
 
 
 def test_min_cells_is_tight_on_large_boxes():
     # the refusals it exists for sit well above the budget, but not by 2x
     for d, symmetric in ((2, True), (5, False), (41, True)):
-        table = build_rep_table(field_new(d), 600, 600, symmetric=symmetric)
+        table = RepTable(field_new(d), 600, 600, symmetric=symmetric)
         low = _min_cells(table.v1, table.v2, table.sigma, symmetric)
         assert 0.9 * table.cells <= low <= table.cells, (d, low, table.cells)
 
@@ -826,7 +831,7 @@ def test_row_record_matches_window_definition(d):
     boxes += [(v, v, True) for v in rational + [Fraction(40)]]
     mirrored = 0
     for v1, v2, symmetric in boxes:
-        table = build_rep_table(field, v1, v2, symmetric=symmetric)
+        table = RepTable(field, v1, v2, symmetric=symmetric)
         b1, b2 = table.v1, table.v2
 
         def window(i):  # every integer j of the window in row i
