@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import OutOfRange
+from .errors import OutOfRange, ScaleGuard, count_text
 from .quadfield import FieldData
 
 __all__ = [
@@ -28,6 +28,10 @@ __all__ = [
     "covolume",
     "VolumeReport",
 ]
+
+# most terms of L(2, chi) the covolume sums: about 3 s at the limit (2-vCPU
+# Xeon); every field's default max(Delta, 10^6) is below it, as MAX_DELTA is
+L_TERMS_LIMIT = 1 << 27
 
 
 def kronecker(a: int, n: int) -> int:
@@ -127,6 +131,8 @@ def l_value_2(field: FieldData, terms: int) -> tuple[float, float]:
     """
     if terms < field.delta:
         raise OutOfRange(f"terms={terms} must be >= Delta={field.delta}")
+    if terms > L_TERMS_LIMIT:
+        raise ScaleGuard(f"terms={count_text(terms)} exceeds {L_TERMS_LIMIT}")
     chi = field.chi_values
     delta = field.delta
     total = 0.0

@@ -13,7 +13,14 @@ from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma
 from .corrsum import RepTable, correlation, correlation_group_oracle, f_deviation, g_ratio
-from .errors import CapacityExceeded, DepthExceeded, OutOfRange, QuadcorrError, ScaleGuard
+from .errors import (
+    CapacityExceeded,
+    DepthExceeded,
+    OutOfRange,
+    QuadcorrError,
+    ScaleGuard,
+    count_text,
+)
 from .hilbertgroup import coset_bfs
 from .quadfield import field_new
 from .repcount import RCOUNT_STEP_LIMIT, enumeration_steps, r_brute, r_sym
@@ -23,15 +30,28 @@ C_TABLE_DS = [2, 3, 5, 6, 7, 101, 1001, 10001, 100001, 1000001]
 G_TABLE_VS = [10000, 20000, 30000, 40000, 50000]
 # largest chi --limit: each listed value costs about 360 bytes across the output forms
 CHI_LIMIT = 10**6
+# most decimal digits in the numerator or the denominator of a rational argument
+FRACTION_DIGITS = 1000
+_FRACTION_CAP = 10**FRACTION_DIGITS
 
 _GUARD_ERRORS = (CapacityExceeded, ScaleGuard, DepthExceeded)
 
 
 def _fraction(text: str) -> Fraction:
+    """A rational argument of at most FRACTION_DIGITS digits in its numerator
+    and in its denominator. Fraction raises 10 to a decimal exponent first, so
+    an exponent past what the mantissa's digits can cancel is refused before
+    that, even on a zero mantissa."""
+    mantissa, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        shift = int(exponent) if e else 0
+        value = None if abs(shift) > len(mantissa) + FRACTION_DIGITS else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a rational: {text[:40]!r}") from exc
+    if value is None or max(abs(value.numerator), value.denominator) >= _FRACTION_CAP:
+        raise argparse.ArgumentTypeError(
+            f"more than {FRACTION_DIGITS} digits in a numerator or denominator: {text[:40]!r}")
+    return value
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
@@ -141,7 +161,7 @@ def _cmd_rcount(args) -> int:
     lam = field.element(int(p), int(q))
     steps = enumeration_steps(field, lam)
     if steps > RCOUNT_STEP_LIMIT:
-        raise ScaleGuard(f"estimated enumeration {steps} exceeds {RCOUNT_STEP_LIMIT} steps")
+        raise ScaleGuard(f"estimated enumeration {count_text(steps)} exceeds {RCOUNT_STEP_LIMIT} steps")
     brute = r_brute(field, lam)
     sym = r_sym(field, lam)
     payload = {"d": args.d, "x": str(x), "y": str(y), "r_brute": brute, "r_sym": sym,

@@ -42,7 +42,7 @@ from math import isqrt, sqrt
 import numpy as np
 
 from .character import c_constant
-from .errors import CapacityExceeded, OutOfRange, ScaleGuard
+from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
 from .quadfield import FieldData, QuadInt, RingClass, sign_quad
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
@@ -357,11 +357,11 @@ class RepTable:
         budget = _memory_budget(memory_budget)
         if min_cells is not None:
             need = min_cells * 4
-            what = f"at least {need} bytes (at least {min_cells} cells)"
+            what = f"at least {count_text(need)} bytes (at least {count_text(min_cells)} cells)"
         else:
             rows = self.imax + 1
             need = self.cells * 4 + rows * self.row_bytes
-            what = f"about {need} bytes ({rows} rows, {self.cells} cells)"
+            what = f"about {count_text(need)} bytes ({count_text(rows)} rows, {self.cells} cells)"
         if need > budget:
             raise CapacityExceeded(f"table needs {what} against a budget of {budget}")
 
@@ -672,6 +672,9 @@ def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
 # Quadruple-enumeration oracle (independent of the table route).
 # ---------------------------------------------------------------------------
 
+# ordered pairs a band of the oracle's tally holds, unless one P alone has more
+_ORACLE_BAND_PAIRS = 1 << 18
+
 
 def correlation_group_oracle(field: FieldData, v1, v2, *,
                              include_lambda_zero: bool = True) -> int:
@@ -679,11 +682,19 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     g3^2 + g4^2 + 1 and g3^2 + g4^2 in the half-open box.
 
     This enumerates the matrix set behind the correlation identity, so it
-    must return exactly correlation(...).n_value. One pass over the pairs
-    (g, g') counts every value lambda = g^2 + g'^2 it reaches; the sum is
-    then taken over the lambdas in the box, each count times the count of
-    lambda + 1, which the same pass reached. Only usable on small boxes;
-    raises ScaleGuard beyond roughly 1e7 quadruples worth of work.
+    must return exactly correlation(...).n_value. Every ordered pair (g, g')
+    reaches lambda = g^2 + g'^2 = (P + Q sqrt d)/2; the sum is taken over the
+    distinct lambdas in the box, each count of pairs times the count of
+    lambda + 1 = (P + 2 + Q sqrt d)/2. The pairs are built and tallied with
+    numpy in bands of P: the band [P0, P1) builds the pairs with
+    P0 <= P < P1 + 2, so it holds its own lambdas and their lambda + 1, and
+    the band totals add up. A pair's key (P - P0)(2w + 1) + Q + w, with
+    w = smax // 2 + 1 > |Q|, orders the band by (P, Q), and lambda + 1 is
+    the key 2(2w + 1) further on. The keys stay below (smax/2 + 1)(smax + 3),
+    which the guard keeps under 2^50 (smax^2 <= 2.1e6 d p, and d p = 4 Delta
+    <= 4 MAX_DELTA); that they stay below 2^62 is asserted. Only usable on small
+    boxes; raises ScaleGuard beyond roughly 1e7 quadruples worth of work,
+    before any array exists.
     """
     b1 = make_bound(field, v1)
     b2 = make_bound(field, v2)
@@ -705,38 +716,63 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
         est = Decimal(work) / (200 * dp)
         raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
 
-    count: dict[tuple[int, int], int] = {}
-    m1 = isqrt(smax)
-    c1_range = range(-m1, m1 + 1) if one else range(-(m1 - m1 % 2), m1 + 1, 2)
-    for c1 in c1_range:
-        s1 = smax - c1 * c1
-        if s1 < 0:
-            continue
-        m2 = isqrt(s1 // d)
-        c2_start = (c1 & 1) if one else 0
-        for c2 in range(-(m2 - ((m2 - c2_start) % 2)), m2 + 1, 2):
-            s2 = s1 - d * c2 * c2
-            if s2 < 0:
-                continue
-            m3 = isqrt(s2)
-            e1_range = range(-m3, m3 + 1) if one else range(-(m3 - m3 % 2), m3 + 1, 2)
-            for e1 in e1_range:
-                s3 = s2 - e1 * e1
-                if s3 < 0:
-                    continue
-                m4 = isqrt(s3 // d)
-                e2_start = (e1 & 1) if one else 0
-                for e2 in range(-(m4 - ((m4 - e2_start) % 2)), m4 + 1, 2):
-                    key = ((c1 * c1 + d * c2 * c2 + e1 * e1 + d * e2 * e2) // 2,
-                           c1 * c2 + e1 * e2)
-                    count[key] = count.get(key, 0) + 1
+    # (g, g') reaches P = (n + n')/2 and Q = pq + pq', with n = c1^2 + d c2^2 and
+    # pq = c1 c2 for g = (c1 + c2 sqrt d)/2. A lambda whose lambda + 1 is reached
+    # has P + 2 <= smax/2, so P < pend; |Q| <= (n + n')/(2 sqrt d) < w
+    pend, w = smax // 2 - 1, smax // 2 + 1
+    row = 2 * w + 1
+    assert (pend + 2) * row < 1 << 62
 
+    # the elements with n <= smax, c1 = c2 (mod 2) when d = 1 mod 4 and both even
+    # otherwise, so that n is even; sorted by h = n/2, each with e = h row + pq, so
+    # that a pair's key is e + e' - P0 row + w
+    step = 1 if one else 2
+    m1, m2 = isqrt(smax), isqrt(smax // d)
+    c1 = np.arange(m1 % step - m1, m1 + 1, step)
+    c2 = np.arange(m2 % step - m2, m2 + 1, step)[:, None]
+    n = c1 * c1 + d * c2 * c2
+    keep = (n <= smax) & ((c1 - c2) % 2 == 0)
+    h = n[keep] >> 1
+    order = h.argsort()
+    h, e = h[order], (h * row + (c1 * c2)[keep])[order]
+
+    def below(p: int) -> int:  # ordered pairs with P < p
+        return int(h.searchsorted(p - h).sum())
+
+    pairs = below(pend + 2)
     total = 0
-    for (P, Q), n in count.items():
-        n_next = count.get((P + 2, Q))
-        if n_next is None or (not include_lambda_zero and P == 0 and Q == 0):
-            continue
-        # box: lambda >= 0 (automatic), strict upper bounds
-        if b1.allows(P, Q, True) and b2.allows(P, -Q, True):
-            total += n * n_next
+    p0 = 0
+    while p0 < pend:
+        lo = h.searchsorted(p0 - h)
+        # the largest P1 <= pend whose band holds at most _ORACLE_BAND_PAIRS pairs,
+        # and at least P0 + 1
+        cap = int(lo.sum()) + _ORACLE_BAND_PAIRS
+        p1 = pend
+        if pairs > cap:
+            p1 = p0 + max(1, bisect_right(range(p0 + 1, pend), cap,
+                                          key=lambda p: below(p + 2)))
+        # the partners of the t-th element are h[lo[t]:lo[t] + cnt[t]], one ragged arange
+        cnt = h.searchsorted(p1 + 2 - h) - lo
+        part = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        key = np.repeat(e, cnt) + e[part] + (w - p0 * row)
+        del part
+        key.sort()
+        # the distinct keys and their counts, then lambda + 1 for the band's own lambdas
+        cut = np.ones(len(key) + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=cut[1:-1])
+        cut = np.flatnonzero(cut)  # where each run of equal keys starts, then len(key)
+        keys, counts = key[cut[:-1]], cut[1:] - cut[:-1]
+        own = keys[:keys.searchsorted((p1 - p0) * row)]
+        at = np.minimum(keys.searchsorted(own + 2 * row), len(keys) - 1)
+        hit = keys[at] == own + 2 * row
+        high, low = np.divmod(own[hit], row)  # P - P0 and Q + w
+        for p_off, q_off, a, b in zip(high.tolist(), low.tolist(),
+                                      counts[:len(own)][hit].tolist(), counts[at[hit]].tolist()):
+            P, Q = p0 + p_off, q_off - w
+            if not include_lambda_zero and P == 0 and Q == 0:
+                continue
+            # box: lambda >= 0 (automatic), strict upper bounds
+            if b1.allows(P, Q, True) and b2.allows(P, -Q, True):
+                total += a * b
+        p0 = p1
     return total

@@ -1,4 +1,13 @@
-"""Exception hierarchy shared by all quadcorr modules."""
+"""Exception hierarchy shared by all quadcorr modules, and how their messages
+print large counts."""
+
+from decimal import Decimal
+
+
+def count_text(n: int) -> str:
+    """n for a message: in full below 10^18, else to three digits through
+    Decimal, since str() refuses integers of more than 4,300 digits."""
+    return str(n) if n < 10**18 else f"{Decimal(n):.3g}"
 
 
 class QuadcorrError(Exception):

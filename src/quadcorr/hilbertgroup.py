@@ -24,6 +24,19 @@ from .errors import (
 from .quadfield import FieldData, QuadInt, RingClass
 
 
+def _two_products(x: QuadInt, y: QuadInt, z: QuadInt, w: QuadInt,
+                  d: int) -> tuple[int, int, int, int]:
+    """The doubled coordinates of x y and of z w, each doubled again, after
+    QuadInt.__mul__'s test that both products lie in the ring."""
+    p1 = x.p * y.p + d * x.q * y.q
+    q1 = x.p * y.q + x.q * y.p
+    p2 = z.p * w.p + d * z.q * w.q
+    q2 = z.p * w.q + z.q * w.p
+    if (p1 | q1 | p2 | q2) & 1:
+        raise InvalidElement("product left the ring; invalid operands")
+    return p1, q1, p2, q2
+
+
 class MatO:
     """[[a, b], [c, d]] with ring-integer entries and determinant one,
     normalized to the +-Id quotient."""
@@ -31,19 +44,20 @@ class MatO:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: QuadInt, b: QuadInt, c: QuadInt, d: QuadInt):
-        fd = a.field.d
+        field = a.field
         for e in (b, c, d):
-            if e.field.d != fd:
+            if e.field.d != field.d:
                 raise FieldMismatch("matrix entries from different fields")
-        det = a * d - b * c
-        if det != a.field.one():
+        # the determinant a d - b c, doubled twice, from the entries' (p, q)
+        p1, q1, p2, q2 = _two_products(a, d, b, c, field.d)
+        if p1 - p2 != 4 or q1 != q2:
+            det = field.element((p1 - p2) >> 1, (q1 - q2) >> 1)
             raise InvalidElement(f"determinant must be 1, got {det}")
-        sign = 0
-        for e in (a, b, c, d):
-            sign = e.lex_sign()
-            if sign != 0:
+        # the first nonzero of a.p, a.q, b.p, ... is the first nonzero lex_sign
+        for x in (a.p, a.q, b.p, b.q, c.p, c.q, d.p, d.q):
+            if x:
                 break
-        if sign < 0:
+        if x < 0:
             a, b, c, d = -a, -b, -c, -d
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -62,11 +76,17 @@ class MatO:
     def __mul__(self, other: MatO) -> MatO:
         if self.field.d != other.field.d:
             raise FieldMismatch("matrices over different fields")
+        field = self.field
+
+        def entry(x, y, z, w):  # x y + z w
+            p1, q1, p2, q2 = _two_products(x, y, z, w, field.d)
+            return QuadInt(field, (p1 + p2) >> 1, (q1 + q2) >> 1)
+
         return MatO(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            entry(self.a, other.a, self.b, other.c),
+            entry(self.a, other.b, self.b, other.d),
+            entry(self.c, other.a, self.d, other.c),
+            entry(self.c, other.b, self.d, other.d),
         )
 
     def inverse(self) -> MatO:

@@ -24,7 +24,14 @@ from math import isqrt, sqrt
 
 import numpy as np
 
-from .errors import CapacityExceeded, FieldMismatch, InvalidElement, NotSquarefree, OutOfRange
+from .errors import (
+    CapacityExceeded,
+    FieldMismatch,
+    InvalidElement,
+    NotSquarefree,
+    OutOfRange,
+    count_text,
+)
 
 # Building the chi table peaks at 19 bytes per residue under tracemalloc (the
 # int64 index and its remainder, three int8 tables; d = 9999973, a prime with
@@ -121,7 +128,7 @@ class FieldData:
             raise OutOfRange(f"d must be > 1, got {d}")
         delta = d if d % 4 == 1 else 4 * d
         if delta > MAX_DELTA:
-            raise CapacityExceeded(f"Delta = {delta} exceeds the chi-table limit {MAX_DELTA}")
+            raise CapacityExceeded(f"Delta = {count_text(delta)} exceeds the chi-table limit {MAX_DELTA}")
         primes = check_squarefree(d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "delta", delta)

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma, kronecker
 from .corrsum import RepTable, correlation, correlation_group_oracle
-from .errors import NotSquarefree, OutOfRange
+from .errors import NotSquarefree, OutOfRange, ScaleGuard, count_text
 from .hilbertgroup import (
     coset_bfs,
     equivalent,
@@ -20,6 +20,15 @@ from .hilbertgroup import (
 )
 from .quadfield import field_new
 from .repcount import r_brute, r_sym
+
+
+# Most chi-table entries the battery's field loop builds: the fields d <= dmax
+# have Delta <= 4 d, at most 2 dmax (dmax + 1) entries in all; about 3.5 s at
+# the limit, dmax = 11179 (2-vCPU Xeon).
+VERIFY_CHI_LIMIT = 250_000_000
+# Largest box, corr_limit and samples: the battery takes about 5, 3.5 and 4 s
+# at each (2-vCPU Xeon).
+VERIFY_MAX = {"box": 100, "corr_limit": 40, "samples": 20_000}
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,12 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
                                ("corr_limit", corr_limit, 1), ("samples", samples, 2)):
         if value < least:
             raise OutOfRange(f"{name} must be >= {least}")
+        if name in VERIFY_MAX and value > VERIFY_MAX[name]:
+            raise ScaleGuard(f"{name} = {count_text(value)} exceeds {VERIFY_MAX[name]}")
+    entries = 2 * dmax * (dmax + 1)
+    if entries > VERIFY_CHI_LIMIT:
+        raise ScaleGuard(f"dmax = {count_text(dmax)} could build {count_text(entries)} "
+                         f"chi-table entries, over {VERIFY_CHI_LIMIT}")
     results: list[CheckResult] = []
     fields = (2, 3, 5, 13, 17)  # of the representation-count and coset checks
 

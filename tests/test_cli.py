@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import signal
 import time
 import tracemalloc
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcorr import cli, corrsum, quadfield, selfcheck
+from quadcorr import character, cli, corrsum, quadfield, selfcheck
 from quadcorr.cli import main
 
 
@@ -404,3 +405,118 @@ def test_cli_fuzz_exit_codes(argv):
     code, _, err = _call(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert "Traceback" not in err, argv
+
+
+# a quick valid call of each command; each of its flags is in turn given a huge value
+_HUGE_BASE = {
+    "constant": {"--d": "2"},
+    "chi": {"--d": "5", "--n": "3", "--limit": "4"},
+    "volume": {"--d": "2", "--terms": "1000000"},
+    "index": {"--d": "13"},
+    "cosets": {"--d": "2", "--depth-limit": "8"},
+    "rcount": {"--d": "2", "--x": "3", "--y": "1"},
+    "correlate": {"--d": "2", "--v1": "3", "--v2": "5/2", "--oracle": "group",
+                  "--memory-budget": "100000000"},
+    "table-f": {"--d": "2", "--xmax": "10", "--checkpoints": "5",
+                "--memory-budget": "100000000"},
+    "table-g": {"--d": "5", "--v": "20", "--memory-budget": "100000000"},
+    "table-c": {"--d": "7"},
+    "verify": {"--dmax": "200", "--box": "10", "--corr-limit": "6", "--samples": "300"},
+}
+_NON_NUMERIC = {"--oracle"}
+
+
+def _huge_values():
+    """10^k, 10^-k, 1ek and 1e-k for k up to 5,000, about the 1,000-digit
+    limit of rational arguments and past the 4,300 digits of int()."""
+    for k in (20, 400, 999, 1000, 5000):
+        zeros = "0" * k
+        yield from (f"1{zeros}", f"1/1{zeros}", f"1e{k}", f"1e-{k}")
+
+
+class _RunsOn(Exception):
+    pass
+
+
+def _alarm(_signum, _frame):
+    raise _RunsOn
+
+
+@pytest.mark.parametrize("command", sorted(_HUGE_BASE))
+def test_cli_huge_magnitudes_end_in_one_error_line(command):
+    """Every numeric flag given a huge magnitude ends within a few seconds in
+    an exit code of 0 to 3, and a failure in exactly one error: line."""
+    base = _HUGE_BASE[command]
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    try:
+        for flag in sorted(base.keys() - _NON_NUMERIC):
+            for value in _huge_values():
+                argv = [command]
+                for f, v in base.items():
+                    argv += [f, value if f == flag else v]
+                shown = [a if len(a) < 30 else a[:12] + f"...({len(a)} chars)" for a in argv]
+                signal.alarm(5)
+                try:
+                    code, _, err = _call(argv)
+                except _RunsOn:
+                    pytest.fail(f"still running after 5 s: {shown}")
+                finally:
+                    signal.alarm(0)
+                assert code in (0, 1, 2, 3), (shown, code)
+                assert "Traceback" not in err, shown
+                if code in (2, 3):
+                    lines = err.strip().splitlines()
+                    assert "error:" in lines[-1], (shown, err[-300:])
+                    assert sum("error:" in line for line in lines) == 1, (shown, err[-300:])
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--d", "2", "--v1", "1e5000", "--v2", "1"),
+    ("correlate", "--d", "2", "--v1", "3", "--v2", "1e-5000"),
+    ("rcount", "--d", "2", "--x", "1e5000", "--y", "0"),
+    ("rcount", "--d", "2", "--x", "1/" + "1" * 1001, "--y", "0"),
+    ("correlate", "--d", "2", "--v1", "0e999999999", "--v2", "1"),
+])
+def test_rationals_past_the_digit_limit_exit_2_at_once(argv):
+    start = time.perf_counter()
+    code, out, err = _call(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    lines = err.strip().splitlines()
+    assert f"more than {cli.FRACTION_DIGITS} digits" in lines[-1]
+    assert sum("error:" in line for line in lines) == 1
+
+
+def test_rationals_at_the_digit_limit_reach_the_guards():
+    """A 1,000-digit numerator passes the argument check; the table's budget
+    then refuses the box, printing its counts through Decimal."""
+    code, _, err = _call(["correlate", "--d", "2", "--v1", "9" * 1000, "--v2", "1"])
+    assert code == 3 and "e+" in err
+    code, out, _ = _call(["correlate", "--d", "2", "--v1", "3", "--v2", "1/" + "1" * 999])
+    assert code == 0 and out.startswith("N_2(3, 1/111")
+
+
+@pytest.mark.parametrize("argv", [
+    ("volume", "--d", "2", "--terms", "1000000000000"),
+    ("verify", "--dmax", "1000000000"),
+    ("verify", "--box", str(selfcheck.VERIFY_MAX["box"] + 1)),
+    ("verify", "--corr-limit", str(selfcheck.VERIFY_MAX["corr_limit"] + 1)),
+    ("verify", "--samples", str(selfcheck.VERIFY_MAX["samples"] + 1)),
+])
+def test_volume_and_verify_work_is_refused_first(argv):
+    start = time.perf_counter()
+    code, _, err = _call(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and err.startswith("error:")
+
+
+def test_default_work_passes_the_guards():
+    # every field's default --terms, max(Delta, 10^6), and verify's default dmax
+    assert max(quadfield.MAX_DELTA, 10**6) <= character.L_TERMS_LIMIT
+    assert 2 * 200 * 201 <= selfcheck.VERIFY_CHI_LIMIT
+    assert cli.build_parser().parse_args(["verify"]).dmax == 200
+    # the largest dmax the guard admits
+    dmax = 11179
+    assert 2 * dmax * (dmax + 1) <= selfcheck.VERIFY_CHI_LIMIT < 2 * (dmax + 1) * (dmax + 2)

@@ -742,6 +742,61 @@ def test_oracle_matches_reference_loop(d, include_zero, data):
     assert got == correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
 
 
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=40, deadline=None)
+@example(d=2, include_zero=False, data=None)
+@example(d=5, include_zero=True, data=None)
+def test_oracle_bands_split_lambda_from_lambda_plus_one(d, include_zero, data):
+    """With bands of at most two pairs, every band holds one P, so each lambda
+    and its lambda + 1 lie in different bands' own ranges; only the overlap of
+    two P that each band builds past its end keeps the sum exact."""
+    field = field_new(d)
+    if data is None:
+        v1, v2 = Fraction(21, 2), InvSqrtBound(d, Fraction(1, 40))
+    else:
+        v1, v2 = data.draw(_oracle_bound(d)), data.draw(_oracle_bound(d))
+    with mock.patch.object(corrsum, "_ORACLE_BAND_PAIRS", 2):
+        got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
+    assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
+    assert got == correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+
+
+def test_oracle_memory_follows_the_band_cap():
+    """d=2, V=150 has about 56,000 ordered pairs: in bands of 4096 pairs the
+    peak stays under 64 bytes a pair of the cap and a quarter of the one-band
+    peak."""
+    field = field_new(2)
+    peaks, sums = [], []
+    for cap in (1 << 18, 1 << 12):
+        with mock.patch.object(corrsum, "_ORACLE_BAND_PAIRS", cap):
+            tracemalloc.start()
+            try:
+                sums.append(correlation_group_oracle(field, 150, 150))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert sums[0] == sums[1] == correlation(field, 150, 150).n_value
+    assert peaks[1] < min(64 * (1 << 12), peaks[0] / 4), peaks
+
+
+def test_capacity_refusal_of_a_huge_box_prints_its_counts():
+    """str() refuses integers past 4,300 digits; the refusal prints through Decimal."""
+    with pytest.raises(CapacityExceeded, match=r"e\+5003 bytes"):
+        RepTable(field_new(2), 10**5000, 1)
+
+
+def test_oracle_guard_refuses_before_any_array():
+    field = field_new(2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleGuard):
+            correlation_group_oracle(field, 3000, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000, peak
+
+
 @pytest.mark.parametrize("d", RING_DS)
 @pytest.mark.parametrize("include_zero", [True, False])
 def test_inv_sqrt_bound_on_a_row_matches_oracle(d, include_zero):

@@ -58,6 +58,42 @@ def test_determinant_enforced():
         MatO(two, f2.zero(), f2.zero(), f2.one())
 
 
+def test_determinant_error_prints_the_determinant():
+    f5 = field_new(5)
+    a = f5.element(3, 1)  # (3 + sqrt 5)/2, of norm 1: det = a^2 = (7 + 3 sqrt 5)/2
+    with pytest.raises(InvalidElement, match=r"determinant must be 1, got .*") as err:
+        MatO(a, f5.zero(), f5.zero(), a)
+    assert str(a * a) in str(err.value)
+
+
+def test_entries_outside_the_ring_are_refused_as_products_are():
+    """An entry whose (p, q) breaks the ring's parity, built past QuadInt's own
+    check, fails the product's parity test in MatO as in QuadInt.__mul__."""
+    f2 = field_new(2)
+    odd = object.__new__(type(f2.one()))
+    for name, value in (("field", f2), ("p", 1), ("q", 0)):
+        object.__setattr__(odd, name, value)
+    with pytest.raises(InvalidElement, match="left the ring"):
+        odd * odd
+    with pytest.raises(InvalidElement, match="left the ring"):
+        MatO(odd, f2.zero(), f2.zero(), odd)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_product_matches_ring_arithmetic(d):
+    """Each entry x y + z w of a product equals QuadInt arithmetic, and the
+    product keeps the +-Id normalization of the constructor."""
+    field, rng = field_new(d), random.Random(d)
+    for _ in range(30):
+        m, n = random_word(field, rng), random_word(field, rng)
+        want = MatO(m.a * n.a + m.b * n.c, m.a * n.b + m.b * n.d,
+                    m.c * n.a + m.d * n.c, m.c * n.b + m.d * n.d)
+        got = m * n
+        assert got.entries() == want.entries()
+        first = next(x for e in got.entries() for x in (e.p, e.q) if x)
+        assert first > 0
+
+
 def test_sign_normalization():
     f2 = field_new(2)
     m = MatO.translation(f2.from_int(3))
