@@ -6,9 +6,10 @@ BASE is the root of another checkout of this repository, for example the
 parent commit unpacked with `git archive`. The argv run are every op of the
 benchmark's workloads (`perfbench/workloads.py`, imported read-only) for
 seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
-rational forms. Each checkout runs them all through `quadcorr.cli.main` in
-its own process, with its own `src` on the path. The script prints each
-argv whose exit code or stdout differ, and exits 1 if any do.
+rational forms, and large denominators, whose row edges take an inexact
+bracket. Each checkout runs them all through `quadcorr.cli.main` in its own
+process, with its own `src` on the path. The script prints each argv whose
+exit code or stdout differ, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ EXTRA = [
     ["table-f", "--d", "3", "--xmax", "5000"],
     ["table-g", "--d", "2", "--format", "csv"],
     ["table-g", "--d", "5", "--v", "3000", "8000"],
+    ["correlate", "--d", "2", "--v1", "1000000", "--v2", "1/1000000007"],
+    ["correlate", "--d", "2", "--v1", "1000000", "--v2", "1/1000000007", "--format", "json"],
+    ["correlate", "--d", "5", "--v1", "1000000",
+     "--v2", "1000000000000000000000000000001/1000000000000000000000000000000000"],
+    ["correlate", "--d", "5", "--v1", "1000000000001/1000000", "--v2", "1/1000"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

@@ -22,11 +22,11 @@ decided by exact integer sign tests; lambda = 0 is included by default.
 All bookkeeping is integer-exact. The window edges of every trace row come
 from one closed form, the largest j with j m sqrt(d) <= R, which is
 isqrt(R^2 // (m^2 d)) with its sign restored, evaluated over all rows at once
-as numpy arrays (int64 where the magnitudes provably fit, Python ints
-otherwise), and each column's rows are cut from them by binary search. An
-irrational bound such as V^(-1/2) is bracketed between two rationals a/m and
-(a+1)/m; the rare rows where the two ends disagree are settled by the exact
-predicate. Floats only seed the integer square root.
+as int64 numpy arrays, and each column's rows are cut from them by binary
+search. Each bound is bracketed between two rationals a/m and (a+1)/m, with m
+small enough for int64 (an exact a/m for most rationals); the rare rows where
+the two ends disagree are settled by the exact predicate. Floats only seed
+the integer square root.
 """
 
 from __future__ import annotations
@@ -53,16 +53,10 @@ F_CHECKPOINT_STEP = 5000
 # largest value of an int32 table cell, and of a uint16 one
 _CELL_LIMIT = 2**31 - 1
 _NARROW_CELL_LIMIT = 2**16 - 1
-# bytes per row: the peak of an int64 edge pass over all rows and of the column
-# record cut from it, fewer columns than rows (measured at most 97 on d in {2, 3,
-# 5}); kept at 160 as an upper bound, so that no refusal point moves
+# bytes per row: the peak of the int64 edge pass over all rows and of the column
+# record cut from it, beyond the cells, under tracemalloc: at most 97 on d in {2, 3,
+# 5}, 86-99 with denominators 10^9 to 10^33 (d in {2, 5, 1000003}); kept at 160
 _ROW_BYTES = 160
-# bytes per row when the edges need Python ints: the peak of the table build
-# and of the strict edge pass it once had, at most 214 plus 12 per 30-bit digit
-# of the largest |R| under tracemalloc (d in {2, 3, 5, 7, 13, 17}, denominators
-# 10^9 to 10^400); kept as an upper bound, so that no refusal point moves
-_WIDE_ROW_BYTES = 240
-_DIGIT_BYTES = 12
 # cells per band of the product walk
 _BAND_CELLS = 1 << 14
 
@@ -163,11 +157,9 @@ def make_bound(field: FieldData, value) -> Bound:
 # Window edges in closed form, for all rows at once.
 # ---------------------------------------------------------------------------
 
-# The int64 path is taken when every |R| and m * (isqrt(d) + 1) stay within
-# this, so R^2, m^2 d and the square-root corrections stay below 2^63.
+# Every |R| and m * (isqrt(d) + 1) stay within this (_edge_plan), so R^2, m^2 d
+# and the square-root corrections stay below 2^63.
 _I64_ROOT = 1 << 31
-# bracket scale on the Python-int path: ends disagree on about 1 row in 2^64
-_WIDE_SCALE = 1 << 64
 
 
 def _doubled(i: int, j: int, sigma: int) -> tuple[int, int]:
@@ -175,9 +167,7 @@ def _doubled(i: int, j: int, sigma: int) -> tuple[int, int]:
 
 
 def _isqrt(x: np.ndarray) -> np.ndarray:
-    """floor(sqrt(x)) elementwise, for int64 x below 2^62 or object x >= 0."""
-    if x.dtype == object:
-        return np.frompyfunc(isqrt, 1, 1)(x)
+    """floor(sqrt(x)) elementwise, for int64 x below 2^62."""
     s = np.sqrt(x.astype(np.float64)).astype(np.int64)  # off by at most one
     s -= s * s > x
     s += (s + 1) * (s + 1) <= x
@@ -191,25 +181,31 @@ def _floor_div_sqrt(r: np.ndarray, m: int, d: int) -> np.ndarray:
     return np.where(r >= 0, q, -q - 1)
 
 
-def _edge_plan(bound: Bound, imax: int, sigma: int) -> tuple[int, int, bool, int]:
-    """(a, m, exact, digits) for the edges of rows |i| <= imax: the bracket a/m
-    of sigma*bound from bound.bracket, and digits 0 when the edges fit int64,
-    else the 30-bit digits of the largest |R| that Python ints must hold."""
+def _edge_plan(bound: Bound, imax: int, sigma: int) -> tuple[int, int, bool]:
+    """(a, m, exact) with a/m <= sigma*bound < (a+1)/m, equal when exact, for the
+    int64 edges of rows |i| <= imax: bound.bracket at scale = max(1, 2^31 //
+    (reach root)), root = isqrt(d) + 1, narrowed to the scale when m passes it.
+    Every |R| <= |a| + 1 + m reach and m root stay within 2^31: |a| < reach m as
+    reach > sigma bound, and m <= scale, so m reach <= 2^31 / root <= 2^30 when
+    scale > 1 (root >= 2); at scale = 1, m = 1 and reach < 2^30, or it refuses."""
     root = isqrt(bound.d) + 1
     reach = imax + sigma * abs(bound.ceil()) + 2
-    a, m, exact = bound.bracket(sigma, _I64_ROOT // (reach * root) or _WIDE_SCALE)
-    top = abs(a) + 1 + m * reach
-    wide = top > _I64_ROOT or m * root > _I64_ROOT
-    return a, m, exact, top.bit_length() // 30 + 1 if wide else 0
+    if reach >= 1 << 30:
+        raise CapacityExceeded(f"rows reaching {count_text(reach)} pass the int64 edge limit 2^30")
+    scale = max(1, _I64_ROOT // (reach * root))
+    a, m, exact = bound.bracket(sigma, scale)
+    if m > scale:
+        a, m, exact = a * scale // m, scale, a * scale % m == 0
+    return a, m, exact
 
 
 def _max_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
     """Largest j with bound >= (i + j sqrt d)/sigma, for every row of the
     integer array i at once."""
     d = bound.d
-    a, m, exact, digits = _edge_plan(bound, int(np.abs(i).max(initial=0)), sigma)
+    a, m, exact = _edge_plan(bound, int(np.abs(i).max(initial=0)), sigma)
     # j m sqrt(d) <= R with R = a - m i, at the lower end of the bracket
-    r = a - m * i.astype(object if digits else np.int64)
+    r = a - m * i.astype(np.int64)
     j = _floor_div_sqrt(r, m, d)
     if not exact:
         upper = _floor_div_sqrt(r + 1, m, d)
@@ -305,12 +301,12 @@ class RepTable:
         # bound the rows before any row array exists: 2i/sigma = lambda +
         # lambda^sigma <= v1 + v2 + 2; _compute_rows trims it to the last filled row
         self.imax = self.sigma * (self.v1.ceil() + self.v2.ceil() + 2) // 2
-        # the row cap bounds |i| and |i - sigma| in every later edge pass, so
-        # it also fixes their path
-        digits = max(_edge_plan(v, self.imax, self.sigma)[3] for v in (self.v1, self.v2))
-        self.row_bytes = _WIDE_ROW_BYTES + _DIGIT_BYTES * digits if digits else _ROW_BYTES
         self.cells = 0
         self._check_budget(memory_budget)
+        # the row cap bounds |i| and |i - sigma| in every later edge pass, so
+        # _edge_plan refuses here, before any row exists, all that it would refuse there
+        for v in (self.v1, self.v2):
+            _edge_plan(v, self.imax, self.sigma)
         # a refusal the cells alone force needs no row pass
         self._check_budget(memory_budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
         self._compute_rows()
@@ -325,8 +321,8 @@ class RepTable:
         i = np.arange(self.imax + 1, dtype=np.int64)
         top = _floor_div_sqrt(i, 1, d)  # lambda, lambda^sigma >= 0
         # lambda - 1 is the cell (i - sigma, j): lambda <= v1 + 1 is lambda - 1 <= v1
-        mx = _max_j(self.v1, i - sigma, sigma).astype(np.int64, copy=False)
-        mn = _min_j(self.v2, i - sigma, sigma).astype(np.int64, copy=False)
+        mx = _max_j(self.v1, i - sigma, sigma)
+        mn = _min_j(self.v2, i - sigma, sigma)
         hi, lo = np.minimum(top, mx), np.maximum(-top, mn)
         filled = np.flatnonzero(hi >= lo)
         if not len(filled):
@@ -360,7 +356,7 @@ class RepTable:
             what = f"at least {count_text(need)} bytes (at least {count_text(min_cells)} cells)"
         else:
             rows = self.imax + 1
-            need = self.cells * 4 + rows * self.row_bytes
+            need = self.cells * 4 + rows * _ROW_BYTES
             what = f"about {count_text(need)} bytes ({count_text(rows)} rows, {self.cells} cells)"
         if need > budget:
             raise CapacityExceeded(f"table needs {what} against a budget of {budget}")
@@ -600,8 +596,9 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
 
     # max(lambda, lambda^sigma) = (i + floor(j sqrt d)) / sigma rises by one per
     # cell of a column, so the bucket of the cell k of column c is k + shift[c]
-    j = (table.j0 + (3 - table.sigma) * np.arange(len(table.i0))).astype(object)
-    fl = _isqrt(j * j * field.d).astype(np.int64)
+    # (a column's |j| sqrt d is at most imax, so j^2 d <= imax^2 < 2^60)
+    j = table.j0 + (3 - table.sigma) * np.arange(len(table.i0))
+    fl = _isqrt(j * j * field.d)
     shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
     starts = table.col_start.tolist()
 

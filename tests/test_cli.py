@@ -220,6 +220,19 @@ def test_thin_box_refused_before_row_geometry(capsys, monkeypatch):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_edge_reach_refused_under_a_huge_budget(capsys, monkeypatch):
+    # 2^29 rows fit the budget, but their int64 edges could wrap: refused first
+    def rows_computed(self):
+        raise AssertionError("the rows were computed past the reach guard")
+
+    monkeypatch.setattr(corrsum.RepTable, "_compute_rows", rows_computed)
+    code, out, err = run(capsys, "correlate", "--d", "2", "--v1", str(2**30), "--v2", "1",
+                         "--memory-budget", "1000000000000000000")
+    assert code == 3 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "int64 edge limit" in lines[0]
+
+
 def test_oracle_guard_exit_code(capsys):
     code, _, err = run(capsys, "correlate", "--d", "2", "--v1", "99999", "--v2", "99999",
                        "--oracle", "group", "--memory-budget", str(8 << 30))

@@ -308,10 +308,10 @@ def test_correlation_is_sum_of_products(d, v1, v2):
 def edge_bounds(draw, d):
     """A box bound of each kind the table uses, with the hard cases: huge
     denominators, and V^(-1/2) equal to a lattice point (d V a rational square)."""
-    kind = draw(st.sampled_from(("rational", "wide", "inv_sqrt", "on_lattice")))
+    kind = draw(st.sampled_from(("rational", "narrowed", "inv_sqrt", "on_lattice")))
     if kind == "rational":
         return RationalBound(d, Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 97))))
-    if kind == "wide":
+    if kind == "narrowed":
         den = draw(st.integers(10**9, 10**13))
         return RationalBound(d, Fraction(draw(st.integers(1, 10**4 * den)), den))
     if kind == "on_lattice":  # V^(-1/2) = t sqrt(d) / sigma is a lattice point
@@ -322,20 +322,18 @@ def edge_bounds(draw, d):
     return InvSqrtBound(d, v)
 
 
-def _edge_rows(draw):
-    # the table's window asks for rows down to -sigma; past 2^53: Python ints
-    start = draw(st.integers(-8, 0) | st.integers(0, 10**5) | st.integers(2**53, 2**60))
+def _edge_rows(draw, bound, sigma):
+    # the table's window asks for rows down to -sigma; the rows just under the
+    # table's cap (|i| + sigma * ceil(bound) + 2 < 2^30) take the scale-1 bracket
+    top = 2**30 - sigma * bound.ceil() - 64
+    start = draw(st.integers(-8, 0) | st.integers(0, 10**5) | st.integers(2**29, top))
     return np.arange(start, start + draw(st.integers(1, 40)), dtype=np.int64)
 
 
-@given(st.sampled_from(RING_DS), st.integers(0, 3), st.data())
-@settings(max_examples=300, deadline=None)
-def test_edges_match_definition(d, k, data):
+def _check_edges(d, k, bound, rows):
     """The edges of bound + k, as the window takes them: the edges of bound
     on the rows shifted down by k sigma, since lambda - k is (i - k sigma, j)."""
     sigma = _sigma(d)
-    bound = data.draw(edge_bounds(d))
-    rows = _edge_rows(data.draw)
 
     def ok(i, j):  # bound + k >= (i + j sqrt d)/sigma
         p, q = _doubled(i, j, sigma)
@@ -349,6 +347,27 @@ def test_edges_match_definition(d, k, data):
                          _min_j(bound, shifted, sigma).tolist()):
         assert ok(i, hi) and not ok(i, hi + 1), (i, hi)
         assert ok(i, -lo) and not ok(i, -(lo - 1)), (i, lo)
+
+
+@given(st.sampled_from(RING_DS), st.integers(0, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_edges_match_definition(d, k, data):
+    bound = data.draw(edge_bounds(d))
+    _check_edges(d, k, bound, _edge_rows(data.draw, bound, _sigma(d)))
+
+
+@pytest.mark.parametrize("start", [10**5, 2**30 - 100])
+def test_edges_of_a_denominator_twice_the_scale(start):
+    """A sigma = 2 rational n/(2 scale) with n odd is narrowed to the bracket
+    n/scale of 2 n/(2 scale), which is exact; at start = 2^30 - 100 the scale is 1."""
+    d, sigma, c = 5, 2, 4
+    rows = np.arange(start, start + 40, dtype=np.int64)
+    scale = max(1, 2**31 // ((start + 39 + sigma * c + 2) * (isqrt(d) + 1)))
+    n = next(n for n in range(7 * scale, 8 * scale) if math.gcd(n, 2 * scale) == 1)
+    bound = RationalBound(d, Fraction(n, 2 * scale))
+    assert bound.ceil() == c and bound.value.denominator == 2 * scale
+    assert corrsum._edge_plan(bound, start + 39, sigma) == (n, scale, True)
+    _check_edges(d, 0, bound, rows)
 
 
 def test_int64_isqrt_near_squares():
@@ -439,9 +458,9 @@ def test_narrow_cell_limit_picks_the_width(monkeypatch):
     assert (flat_a == flat_b).all() and n_a == n_b and (grid_a == grid_b).all()
 
 
-def test_wide_edge_rows_charged_before_the_work():
-    # a large denominator puts the row edges on Python ints, which cost more
-    # per row than the int64 path; the guard must charge that before any row exists
+def test_narrowed_edge_rows_charged_before_the_work():
+    # a large denominator is narrowed to an inexact int64 bracket, whose rows are
+    # settled one by one; _ROW_BYTES must cover that build before any row exists
     field = field_new(2)
     v1, v2 = Fraction(1, 10**9 + 7), Fraction(30000)
     correlation(field, v1, v2)  # warm up lazily built state
@@ -781,7 +800,7 @@ def test_oracle_memory_follows_the_band_cap():
 
 def test_capacity_refusal_of_a_huge_box_prints_its_counts():
     """str() refuses integers past 4,300 digits; the refusal prints through Decimal."""
-    with pytest.raises(CapacityExceeded, match=r"e\+5003 bytes"):
+    with pytest.raises(CapacityExceeded, match=r"about 8\.00e\+5001 bytes"):
         RepTable(field_new(2), 10**5000, 1)
 
 
@@ -861,6 +880,14 @@ def test_min_cells_is_a_lower_bound_that_refuses_early(d, symmetric, data):
         with mock.patch.object(RepTable, "_compute_rows", side_effect=AssertionError):
             with pytest.raises(CapacityExceeded):
                 RepTable(field, v1, v2, symmetric=symmetric, memory_budget=4 * low - 1)
+
+
+def test_edge_reach_refused_before_any_row():
+    # past a reach of 2^30 the int64 edges could wrap: a budget that admits the
+    # 2^29 rows must not let the row pass start
+    with mock.patch.object(RepTable, "_compute_rows", side_effect=AssertionError):
+        with pytest.raises(CapacityExceeded, match="int64 edge limit"):
+            RepTable(field_new(2), 2**30, 1, memory_budget=10**18)
 
 
 def test_min_cells_is_tight_on_large_boxes():
