@@ -6,10 +6,12 @@ BASE is the root of another checkout of this repository, for example the
 parent commit unpacked with `git archive`. The argv run are every op of the
 benchmark's workloads (`perfbench/workloads.py`, imported read-only) for
 seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
-rational forms, and large denominators, whose row edges take an inexact
-bracket. Each checkout runs them all through `quadcorr.cli.main` in its own
-process, with its own `src` on the path. The script prints each argv whose
-exit code or stdout differ, and exits 1 if any do.
+rational forms, large denominators, whose row edges take an inexact
+bracket, and refusals of a missing CSV form, a nonpositive bound and a box
+that one route's guard refuses after the other's passes. Each checkout runs
+them all through `quadcorr.cli.main` in its own process, with its own `src`
+on the path. The script prints each argv whose exit code or stdout differ,
+and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -43,6 +45,12 @@ EXTRA = [
     ["correlate", "--d", "5", "--v1", "1000000",
      "--v2", "1000000000000000000000000000001/1000000000000000000000000000000000"],
     ["correlate", "--d", "5", "--v1", "1000000000001/1000000", "--v2", "1/1000"],
+    ["verify", "--format", "csv"],
+    ["correlate", "--d", "2", "--v1", "2", "--v2", "2", "--format", "csv"],
+    ["correlate", "--d", "2", "--v1", "0", "--v2", "1"],
+    ["correlate", "--d", "5", "--v1", "3", "--v2=-1/2", "--oracle", "group"],
+    ["correlate", "--d", "2", "--v1", "1900", "--v2", "1900", "--oracle", "group",
+     "--memory-budget", "1000"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

@@ -12,7 +12,8 @@ import sys
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma
-from .corrsum import RepTable, correlation, correlation_group_oracle, f_deviation, g_ratio
+from .corrsum import (RepTable, correlation, correlation_group_oracle, f_deviation, g_ratio,
+                      oracle_guard)
 from .errors import (
     CapacityExceeded,
     DepthExceeded,
@@ -55,11 +56,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
+    """Print the payload in the form --format names; the parser offers csv only
+    to the subcommands that pass csv_rows."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif args.format == "csv":
-        if csv_rows is None:
-            raise OutOfRange("this subcommand has no CSV form; use text or json")
         import csv as _csv
 
         writer = _csv.writer(sys.stdout)
@@ -177,12 +178,8 @@ def _cmd_correlate(args) -> int:
     if path and (os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK)):
         raise OutOfRange(f"cannot write the table to {path!r}")
     include = not args.exclude_lambda_zero
-    oracle = None
-    if args.oracle == "group":
-        # run the cheap guarded route first so ScaleGuard fires before any
-        # large table allocation
-        oracle = correlation_group_oracle(field, args.v1, args.v2,
-                                          include_lambda_zero=include)
+    if args.oracle == "group":  # both routes' guards before either route's work
+        oracle_guard(field, args.v1, args.v2)
     table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
     res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include)
     payload = res.to_json_dict()
@@ -191,7 +188,8 @@ def _cmd_correlate(args) -> int:
         f"main term C_D*V1*V2 = {res.main_term!r}",
         f"deviation = {res.deviation!r}",
     ]
-    if oracle is not None:
+    if args.oracle == "group":
+        oracle = correlation_group_oracle(field, args.v1, args.v2, include_lambda_zero=include)
         payload["oracle_n_value"] = oracle
         payload["oracle_matches"] = oracle == res.n_value
         lines.append(f"group-sum oracle = {oracle} ({'match' if oracle == res.n_value else 'MISMATCH'})")
@@ -278,9 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged,
     so every call of main reuses it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--memory-budget", type=int, default=None,
-                        help="table memory budget in bytes (env QUADCORR_MEM_BUDGET)")
+                        help="table memory budget in bytes")
 
     parser = argparse.ArgumentParser(
         prog="quadcorr",
@@ -289,8 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add(name: str, help_text: str, csv: bool = False):
+        p = sub.add_parser(name, help=help_text, parents=[common])
+        p.add_argument("--format", default="text",
+                       choices=("text", "json", "csv") if csv else ("text", "json"))
+        return p
 
     def add_d(p):
         p.add_argument("--d", type=int, required=True, help="squarefree d > 1")
@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_d(p)
     p.set_defaults(func=_cmd_constant)
 
-    p = add("chi", "Kronecker character values")
+    p = add("chi", "Kronecker character values", csv=True)
     add_d(p)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--limit", type=int, default=None)
@@ -335,20 +335,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-table", type=str, default=None, help="write the r-table as CSV")
     p.set_defaults(func=_cmd_correlate)
 
-    p = add("table-f", "deviation suprema F on the integer grid")
+    p = add("table-f", "deviation suprema F on the integer grid", csv=True)
     add_d(p)
     p.add_argument("--xmax", type=int, required=True)
     p.add_argument("--checkpoints", type=int, nargs="*", default=None)
     p.add_argument("--exclude-lambda-zero", action="store_true")
     p.set_defaults(func=_cmd_table_f)
 
-    p = add("table-g", "unbalanced-box values N(V, V**-1/2) and G(V)")
+    p = add("table-g", "unbalanced-box values N(V, V**-1/2) and G(V)", csv=True)
     add_d(p)
     p.add_argument("--v", type=int, nargs="*", default=None)
     p.add_argument("--exclude-lambda-zero", action="store_true")
     p.set_defaults(func=_cmd_table_g)
 
-    p = add("table-c", "the constant C_D for a list of d")
+    p = add("table-c", "the constant C_D for a list of d", csv=True)
     p.add_argument("--d", type=int, nargs="*", default=None)
     p.set_defaults(func=_cmd_table_c)
 

@@ -32,7 +32,6 @@ the integer square root.
 from __future__ import annotations
 
 import csv
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal
@@ -46,7 +45,6 @@ from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
 from .quadfield import FieldData, QuadInt, RingClass, sign_quad
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
-MEMORY_BUDGET_ENV = "QUADCORR_MEM_BUDGET"
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
 # spacing of F's default checkpoints
 F_CHECKPOINT_STEP = 5000
@@ -68,13 +66,16 @@ _BAND_CELLS = 1 << 14
 
 
 class RationalBound:
-    """An exact rational box bound."""
+    """An exact positive rational box bound."""
 
     __slots__ = ("d", "value")
 
     def __init__(self, d: int, value: Fraction):
+        value = Fraction(value)
+        if value <= 0:
+            raise OutOfRange("box bounds must be positive")
         self.d = d
-        self.value = Fraction(value)
+        self.value = value
 
     def allows(self, p: int, q: int, strict: bool) -> bool:
         num, den = self.value.numerator, self.value.denominator
@@ -88,9 +89,6 @@ class RationalBound:
 
     def ceil(self) -> int:
         return -(-self.value.numerator // self.value.denominator)
-
-    def is_positive(self) -> bool:
-        return self.value > 0
 
     def __float__(self) -> float:
         return float(self.value)
@@ -131,9 +129,6 @@ class InvSqrtBound:
     def ceil(self) -> int:
         # smallest c with c^2 >= 1/v
         return isqrt(-(-self.v.denominator // self.v.numerator) - 1) + 1
-
-    def is_positive(self) -> bool:
-        return True
 
     def __float__(self) -> float:
         return float(self.v.denominator / self.v.numerator) ** 0.5
@@ -251,15 +246,6 @@ def _min_cells(v1: Bound, v2: Bound, sigma: int, symmetric: bool) -> int:
     return full // 2 if symmetric else full
 
 
-def _memory_budget(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MEMORY_BUDGET
-
-
 # ---------------------------------------------------------------------------
 # The accumulation table.
 # ---------------------------------------------------------------------------
@@ -284,8 +270,6 @@ class RepTable:
         self.sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
         self.v1 = make_bound(field, v1)
         self.v2 = make_bound(field, v2)
-        if not (self.v1.is_positive() and self.v2.is_positive()):
-            raise OutOfRange("box bounds must be positive")
 
         same = (
             isinstance(self.v1, RationalBound)
@@ -302,15 +286,16 @@ class RepTable:
         # lambda^sigma <= v1 + v2 + 2; _compute_rows trims it to the last filled row
         self.imax = self.sigma * (self.v1.ceil() + self.v2.ceil() + 2) // 2
         self.cells = 0
-        self._check_budget(memory_budget)
+        budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+        self._check_budget(budget)
         # the row cap bounds |i| and |i - sigma| in every later edge pass, so
         # _edge_plan refuses here, before any row exists, all that it would refuse there
         for v in (self.v1, self.v2):
             _edge_plan(v, self.imax, self.sigma)
         # a refusal the cells alone force needs no row pass
-        self._check_budget(memory_budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
+        self._check_budget(budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
         self._compute_rows()
-        self._check_budget(memory_budget)
+        self._check_budget(budget)
         self._build()
 
     # -- geometry ---------------------------------------------------------
@@ -346,11 +331,10 @@ class RepTable:
         np.cumsum((self.ihi - self.i0) // sigma + 1, out=self.col_start[1:])
         self.cells = int(self.col_start[-1])
 
-    def _check_budget(self, memory_budget: int | None, min_cells: int | None = None) -> None:
+    def _check_budget(self, budget: int, min_cells: int | None = None) -> None:
         """Refuse when the rows and cells known so far, or min_cells cells
-        alone when given, need more than the budget. A cell is charged the
-        4 bytes of int32, an upper bound for a table _build makes uint16."""
-        budget = _memory_budget(memory_budget)
+        alone when given, need more than the budget in bytes. A cell is charged
+        the 4 bytes of int32, an upper bound for a table _build makes uint16."""
         if min_cells is not None:
             need = min_cells * 4
             what = f"at least {count_text(need)} bytes (at least {count_text(min_cells)} cells)"
@@ -673,6 +657,29 @@ def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
 _ORACLE_BAND_PAIRS = 1 << 18
 
 
+def oracle_guard(field: FieldData, v1, v2) -> tuple[Bound, Bound, int]:
+    """(b1, b2, smax) of the group oracle on the box (v1, v2): its two bounds and
+    the largest doubled norm of its pairs. Raises ScaleGuard, before any array
+    exists, when the work would pass roughly ORACLE_QUADRUPLE_LIMIT quadruples.
+    A caller that also builds the box's table calls this first, so neither
+    route's work starts before both routes' guards have passed."""
+    b1 = make_bound(field, v1)
+    b2 = make_bound(field, v2)
+    # the pair ((c1 + c2 sqrt d)/2, (e1 + e2 sqrt d)/2) reaches lambda =
+    # (P + Q sqrt d)/2 with c1^2 + d c2^2 + e1^2 + d e2^2 = 2 P. A lambda in
+    # the box has P < v1 + v2 <= ceil(v1) + ceil(v2), so all pairs of
+    # lambda + 1 (2 P + 4) are within smax: count[lambda + 1] = r(lambda + 1)
+    smax = 2 * (b1.ceil() + b2.ceil()) + 4
+    # the work estimate 100 + 4.935 smax^2 / (d p) from the same bound, p = 4 when
+    # d = 1 mod 4 and 16 otherwise, compared in exact integers at any magnitude
+    dp = field.d * (4 if field.ring_class is RingClass.ONE_MOD_FOUR else 16)
+    work = 20000 * dp + 987 * smax * smax  # the estimate times 200 d p
+    if work > 200 * dp * ORACLE_QUADRUPLE_LIMIT:
+        est = Decimal(work) / (200 * dp)
+        raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
+    return b1, b2, smax
+
+
 def correlation_group_oracle(field: FieldData, v1, v2, *,
                              include_lambda_zero: bool = True) -> int:
     """Count quadruples (g1, g2, g3, g4) in O^4 with g1^2 + g2^2 =
@@ -688,31 +695,13 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     the band totals add up. A pair's key (P - P0)(2w + 1) + Q + w, with
     w = smax // 2 + 1 > |Q|, orders the band by (P, Q), and lambda + 1 is
     the key 2(2w + 1) further on. The keys stay below (smax/2 + 1)(smax + 3),
-    which the guard keeps under 2^50 (smax^2 <= 2.1e6 d p, and d p = 4 Delta
+    which oracle_guard keeps under 2^50 (smax^2 <= 2.1e6 d p, and d p = 4 Delta
     <= 4 MAX_DELTA); that they stay below 2^62 is asserted. Only usable on small
-    boxes; raises ScaleGuard beyond roughly 1e7 quadruples worth of work,
-    before any array exists.
+    boxes: oracle_guard refuses the rest before any array exists.
     """
-    b1 = make_bound(field, v1)
-    b2 = make_bound(field, v2)
-    if not (b1.is_positive() and b2.is_positive()):
-        raise OutOfRange("box bounds must be positive")
-
+    b1, b2, smax = oracle_guard(field, v1, v2)
     d = field.d
     one = field.ring_class is RingClass.ONE_MOD_FOUR
-    # the pair ((c1 + c2 sqrt d)/2, (e1 + e2 sqrt d)/2) reaches lambda =
-    # (P + Q sqrt d)/2 with c1^2 + d c2^2 + e1^2 + d e2^2 = 2 P. A lambda in
-    # the box has P < v1 + v2 <= ceil(v1) + ceil(v2), so all pairs of
-    # lambda + 1 (2 P + 4) are within smax: count[lambda + 1] = r(lambda + 1)
-    smax = 2 * (b1.ceil() + b2.ceil()) + 4
-    # the work estimate 100 + 4.935 smax^2 / (d p) from the same bound, p = 4 when
-    # d = 1 mod 4 and 16 otherwise, compared in exact integers at any magnitude
-    dp = d * (4 if one else 16)
-    work = 20000 * dp + 987 * smax * smax  # the estimate times 200 d p
-    if work > 200 * dp * ORACLE_QUADRUPLE_LIMIT:
-        est = Decimal(work) / (200 * dp)
-        raise ScaleGuard(f"estimated work {est:.3g} exceeds {ORACLE_QUADRUPLE_LIMIT}")
-
     # (g, g') reaches P = (n + n')/2 and Q = pq + pq', with n = c1^2 + d c2^2 and
     # pq = c1 c2 for g = (c1 + c2 sqrt d)/2. A lambda whose lambda + 1 is reached
     # has P + 2 <= smax/2, so P < pend; |Q| <= (n + n')/(2 sqrt d) < w

@@ -53,7 +53,7 @@ class MatO:
         if p1 - p2 != 4 or q1 != q2:
             det = field.element((p1 - p2) >> 1, (q1 - q2) >> 1)
             raise InvalidElement(f"determinant must be 1, got {det}")
-        # the first nonzero of a.p, a.q, b.p, ... is the first nonzero lex_sign
+        # of M and -M keep the one whose first nonzero coordinate is positive
         for x in (a.p, a.q, b.p, b.q, c.p, c.q, d.p, d.q):
             if x:
                 break

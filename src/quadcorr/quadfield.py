@@ -121,7 +121,7 @@ class FieldData:
     Immutable; instances are shareable across threads.
     """
 
-    __slots__ = ("d", "delta", "ring_class", "prime_divisors", "_chi")
+    __slots__ = ("d", "delta", "ring_class", "_chi")
 
     def __init__(self, d: int):
         if d <= 1:
@@ -137,7 +137,6 @@ class FieldData:
             "ring_class",
             RingClass.ONE_MOD_FOUR if d % 4 == 1 else RingClass.OTHER_MOD_FOUR,
         )
-        object.__setattr__(self, "prime_divisors", tuple(primes))
         object.__setattr__(self, "_chi", chi_table(d, delta, primes))
         self._chi.setflags(write=False)
 
@@ -349,12 +348,6 @@ class QuadInt:
 
     def __ge__(self, other: QuadInt | int) -> bool:
         return (self - other).sign() >= 0
-
-    def lex_sign(self) -> int:
-        """Sign under the lexicographic order on (p, q); used for +-Id quotients."""
-        if self.p != 0:
-            return _sign(self.p)
-        return _sign(self.q)
 
     # divisibility
 

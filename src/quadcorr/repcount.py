@@ -25,13 +25,9 @@ from .quadfield import FieldData, QuadInt, RingClass, sign_quad
 RCOUNT_STEP_LIMIT = 10_000_000
 
 
-def _signed_range(maxabs: int, even_only: bool, parity: int = 0):
-    """Integers in [-maxabs, maxabs]; restricted to one parity class."""
-    if even_only:
-        start = -(maxabs - (maxabs % 2))
-        return range(start, maxabs + 1, 2)
-    start = -maxabs + ((maxabs + parity) % 2)
-    return range(start, maxabs + 1, 2)
+def _signed_range(maxabs: int, parity: int):
+    """The integers x in [-maxabs, maxabs] with x = parity (mod 2)."""
+    return range(-maxabs + (maxabs + parity) % 2, maxabs + 1, 2)
 
 
 def _totally_nonnegative(lam: QuadInt) -> bool:
@@ -54,15 +50,11 @@ def _solutions_doubled(field: FieldData, lam: QuadInt) -> list[tuple[int, int, i
     Q = lam.q
     out: list[tuple[int, int, int, int]] = []
     amax = isqrt(S)
-    a_values = range(-amax, amax + 1) if one_mod_four else _signed_range(amax, True)
+    a_values = range(-amax, amax + 1) if one_mod_four else _signed_range(amax, 0)
     for A in a_values:
         SA = S - A * A
-        bmax = isqrt(SA // d)
-        if one_mod_four:
-            b_values = _signed_range(bmax, False, A & 1)
-        else:
-            b_values = _signed_range(bmax, True)
-        for B in b_values:
+        # B = A (mod 2): A is even unless half coordinates exist
+        for B in _signed_range(isqrt(SA // d), A & 1):
             R = SA - d * B * B
             q = Q - A * B
             if q == 0 and R % d == 0:
@@ -118,12 +110,10 @@ def r_brute(field: FieldData, lam: QuadInt) -> int:
     return len(_solutions_doubled(field, lam))
 
 
-def _parity_ok(value: int, anchor: int, one_mod_four: bool) -> bool:
-    """Ring membership parity: value = anchor (mod 2) when half coordinates
-    exist, and value even otherwise (anchor is then even already)."""
-    if one_mod_four:
-        return (value - anchor) % 2 == 0
-    return value % 2 == 0
+def _parity_ok(value: int, anchor: int) -> bool:
+    """Ring membership parity: value = anchor (mod 2). Without half
+    coordinates every anchor is even, so this asks that value be even."""
+    return (value - anchor) % 2 == 0
 
 
 def r_sym(field: FieldData, lam: QuadInt) -> int:
@@ -156,14 +146,12 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
             SAC = SA - C * C
             if SAC < 0:
                 break
-            bmax = isqrt(SAC // d)
-            b_vals = _signed_range(bmax, not one, A & 1)
-            for B in b_vals:
+            for B in _signed_range(isqrt(SAC // d), A & 1):
                 rem = SAC - d * B * B
                 qrem = Q - A * B
                 if qrem % C == 0:
                     E = qrem // C
-                    if d * E * E == rem and _parity_ok(E, C, one):
+                    if d * E * E == rem and _parity_ok(E, C):
                         m1 += 1
 
     # M2: C = 0 < A, E > 0; B is forced by A B = Q.
@@ -173,7 +161,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
         if Q % A != 0:
             continue
         B = Q // A
-        if not _parity_ok(B, A, one):
+        if not _parity_ok(B, A):
             continue
         rem = S - A * A - d * B * B
         if rem <= 0 or rem % d != 0:
@@ -203,7 +191,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
             continue
         B = (total + t) // 2
         E = (total - t) // 2
-        if _parity_ok(B, A, one) and _parity_ok(E, A, one):
+        if _parity_ok(B, A) and _parity_ok(E, A):
             m3 += 1
 
     # M4: A = C = 0, 0 < E < B; possible only when the sqrt(d) part vanishes.
@@ -219,13 +207,13 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
 
     # M1*: A = B = 0, i.e. eta^2 = lam, all sign combinations.
     cmax = isqrt(S)
-    c_vals = range(-cmax, cmax + 1) if one else _signed_range(cmax, True)
+    c_vals = range(-cmax, cmax + 1) if one else _signed_range(cmax, 0)
     for C in c_vals:
         rem = S - C * C
         if C != 0:
             if Q % C == 0:
                 E = Q // C
-                if d * E * E == rem and _parity_ok(E, C, one):
+                if d * E * E == rem and _parity_ok(E, C):
                     m1s += 1
         else:
             if Q != 0:
@@ -242,13 +230,13 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
     pa = lam.p
     if Q % 2 == 0:
         amax2 = isqrt(pa) if pa >= 0 else -1
-        a_vals2 = range(-amax2, amax2 + 1) if one else _signed_range(amax2, True)
+        a_vals2 = range(-amax2, amax2 + 1) if one else _signed_range(amax2, 0)
         for A in a_vals2:
             if A != 0:
                 if (Q // 2) % A != 0:
                     continue
                 B = Q // 2 // A
-                if A * A + d * B * B == pa and _parity_ok(B, A, one):
+                if A * A + d * B * B == pa and _parity_ok(B, A):
                     m2s += 1
             else:
                 if Q != 0:
@@ -256,7 +244,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
                 if pa % d == 0:
                     b2 = pa // d
                     b = isqrt(b2)
-                    if b > 0 and b * b == b2 and _parity_ok(b, 0, one):
+                    if b > 0 and b * b == b2 and _parity_ok(b, 0):
                         m2s += 2
 
     return 8 * (m1 + m2 + m3 + m4) + 2 * (m1s + m2s)

@@ -213,7 +213,6 @@ def test_thin_box_refused_before_row_geometry(capsys, monkeypatch):
         raise AssertionError("the edge routine ran before the row guard")
 
     monkeypatch.setattr(corrsum, "_max_j", edge_routine_ran)
-    monkeypatch.delenv("QUADCORR_MEM_BUDGET", raising=False)
     code, out, err = run(capsys, "correlate", "--d", "2", "--v1", "100000000", "--v2", "1")
     assert code == 3
     assert out == ""
@@ -249,10 +248,49 @@ def test_oracle_guard_past_float_range(capsys, v1, v2):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def test_env_memory_budget(capsys, monkeypatch):
-    monkeypatch.setenv("QUADCORR_MEM_BUDGET", "1000")
-    code, _, _ = run(capsys, "correlate", "--d", "2", "--v1", "4000", "--v2", "4000")
-    assert code == 3
+def _fail(what):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{what} ran before the refusal")
+    return ran
+
+
+def test_oracle_guard_and_table_guard_before_either_route(capsys, monkeypatch):
+    # the oracle passes its own guard on this box, the table exceeds its budget
+    monkeypatch.setattr(cli, "correlation_group_oracle", _fail("the oracle"))
+    code, out, err = run(capsys, "correlate", "--d", "2", "--v1", "1900", "--v2", "1900",
+                         "--oracle", "group", "--memory-budget", "1000")
+    assert code == 3 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "budget" in lines[0]
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle", "group")])
+def test_nonpositive_bound_refused_before_either_route(capsys, monkeypatch, oracle):
+    monkeypatch.setattr(corrsum.RepTable, "_compute_rows", _fail("the row pass"))
+    monkeypatch.setattr(cli, "correlation_group_oracle", _fail("the oracle"))
+    code, out, err = run(capsys, "correlate", "--d", "2", "--v1", "0", "--v2", "1", *oracle)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0] == "error: box bounds must be positive"
+
+
+# every subcommand without a CSV form
+@pytest.mark.parametrize("argv", [
+    ("constant", "--d", "5"),
+    ("volume", "--d", "2"),
+    ("index", "--d", "13"),
+    ("cosets", "--d", "2"),
+    ("rcount", "--d", "2", "--x", "3"),
+    ("correlate", "--d", "2", "--v1", "2", "--v2", "2"),
+    ("verify",),
+])
+def test_csv_refused_by_the_parser_before_any_work(monkeypatch, argv):
+    # the first step of each command's work
+    monkeypatch.setattr(cli, "field_new", _fail("field_new"))
+    monkeypatch.setattr(cli, "run_verification", _fail("the battery"))
+    code, out, err = _call((*argv, "--format", "csv"))
+    assert code == 2 and out == ""
+    assert "invalid choice: 'csv'" in err
 
 
 def test_csv_format(capsys):
@@ -322,7 +360,6 @@ def test_capacity_refusal_before_row_pass(capsys, monkeypatch, argv):
         raise AssertionError("the row pass ran before the capacity refusal")
 
     monkeypatch.setattr(corrsum.RepTable, "_compute_rows", row_pass_ran)
-    monkeypatch.delenv("QUADCORR_MEM_BUDGET", raising=False)
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == "" and err.startswith("error: ")

@@ -115,6 +115,12 @@ def test_oracle_examples():
     assert correlation_group_oracle(f5, 2, 2) == correlation(f5, 2, 2).n_value
 
 
+@pytest.mark.parametrize("value", [0, Fraction(-1, 2)])
+def test_rational_bound_must_be_positive(value):
+    with pytest.raises(OutOfRange, match="box bounds must be positive"):
+        RationalBound(2, value)
+
+
 def test_oracle_scale_guard():
     with pytest.raises(ScaleGuard):
         correlation_group_oracle(field_new(2), 10**6, 10**6)

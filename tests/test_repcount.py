@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from quadcorr import field_new, r_brute, r_sym, two_square_solutions
 from quadcorr.quadfield import RingClass
-from quadcorr.repcount import enumeration_steps
+from quadcorr.repcount import _signed_range, enumeration_steps
 
 
 def box_lambdas(field, box):
@@ -25,6 +25,12 @@ def box_lambdas(field, box):
             if lam.cmp(box) >= 0 or lam.conj().cmp(box) >= 0:
                 continue
             yield lam
+
+
+def test_signed_range_is_one_parity_class():
+    for m in range(-1, 61):
+        for p in (0, 1):
+            assert list(_signed_range(m, p)) == [x for x in range(-m, m + 1) if (x - p) % 2 == 0]
 
 
 def test_r_brute_examples():
