@@ -7,11 +7,13 @@ parent commit unpacked with `git archive`. The argv run are every op of the
 benchmark's workloads (`perfbench/workloads.py`, imported read-only) for
 seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
 rational forms, large denominators, whose row edges take an inexact
-bracket, and refusals of a missing CSV form, a nonpositive bound and a box
-that one route's guard refuses after the other's passes. Each checkout runs
-them all through `quadcorr.cli.main` in its own process, with its own `src`
-on the path. The script prints each argv whose exit code or stdout differ,
-and exits 1 if any do.
+bracket, tables of several column bands (`corrsum._BAND_CELLS`), and
+refusals of a missing CSV form, a nonpositive bound and a box that one
+route's guard refuses after the other's passes. Each checkout runs them all
+through `quadcorr.cli.main` in its own process, with its own `src` on the
+path; a `--dump-table` file is read back and its SHA-256 added to the
+stdout. The script prints each argv whose exit code or stdout differ, and
+exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -51,12 +53,18 @@ EXTRA = [
     ["correlate", "--d", "5", "--v1", "3", "--v2=-1/2", "--oracle", "group"],
     ["correlate", "--d", "2", "--v1", "1900", "--v2", "1900", "--oracle", "group",
      "--memory-budget", "1000"],
+    # tables of 2-3 bands: symmetric, full storage with integer bounds, the F grid
+    ["correlate", "--d", "5", "--v1", "3000", "--v2", "3000", "--exclude-lambda-zero"],
+    ["correlate", "--d", "13", "--v1", "4000", "--v2", "2500"],
+    ["table-f", "--d", "2", "--xmax", "6000", "--exclude-lambda-zero", "--format", "csv"],
+    ["correlate", "--d", "2", "--v1", "3000", "--v2", "2000",
+     "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on
 # stdout. A crash is recorded by its exception type in place of the code.
 RUNNER = r"""
-import contextlib, io, json, os, sys
+import contextlib, hashlib, io, json, os, sys
 import quadcorr.cli
 src = os.path.realpath("src")
 if not os.path.realpath(quadcorr.cli.__file__).startswith(src + os.sep):
@@ -71,6 +79,10 @@ for argv in json.load(sys.stdin):
         code = exc.code
     except Exception as exc:
         code = type(exc).__name__
+    if "--dump-table" in argv and os.path.isfile(path := argv[argv.index("--dump-table") + 1]):
+        with open(path, "rb") as fh:
+            out.write(hashlib.sha256(fh.read()).hexdigest())
+        os.remove(path)
     results.append([code, out.getvalue()])
 json.dump(results, sys.stdout)
 """

@@ -181,6 +181,9 @@ def _cmd_correlate(args) -> int:
     if args.oracle == "group":  # both routes' guards before either route's work
         oracle_guard(field, args.v1, args.v2)
     table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
+    if path:  # the whole table, built once for the dump and the walk
+        with open(path, "w", encoding="utf-8") as fh:
+            table.write_csv(fh)
     res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include)
     payload = res.to_json_dict()
     lines = [
@@ -194,8 +197,6 @@ def _cmd_correlate(args) -> int:
         payload["oracle_matches"] = oracle == res.n_value
         lines.append(f"group-sum oracle = {oracle} ({'match' if oracle == res.n_value else 'MISMATCH'})")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            table.write_csv(fh)
         lines.append(f"table written to {path}")
     _emit(args, payload, lines)
     if args.oracle == "group" and not payload["oracle_matches"]:
@@ -257,7 +258,7 @@ def _cmd_table_c(args) -> int:
 
 def _cmd_verify(args) -> int:
     checks = run_verification(dmax=args.dmax, box=args.box, corr_limit=args.corr_limit,
-                              samples=args.samples)
+                              samples=args.samples, memory_budget=args.memory_budget)
     all_passed = all(c.passed for c in checks)
     payload = {
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],

@@ -13,11 +13,12 @@ otherwise. The stored window for box bounds (V1, V2) is the closed region
 so every lambda + 1 needed by the correlation is present; as lambda - 1 is
 the cell (i - sigma, j), the upper edges are the box's own, sigma rows down.
 N and the integer grid behind F take the products r(lambda) r(lambda + 1)
-from one banded walk over the table, stored by columns of fixed j so that
-lambda + 1 is the cell after lambda's: the closed box 0 <= lambda <= V1,
-0 <= lambda^sigma <= V2. The correlation's box is half-open (lambda < V1,
-lambda^sigma < V2), so N is the walk's sum minus at most one cell on j = 0,
-decided by exact integer sign tests; lambda = 0 is included by default.
+from one walk over the table, built band by band and stored by columns of
+fixed j so that lambda + 1 is the cell after lambda's: the closed box
+0 <= lambda <= V1, 0 <= lambda^sigma <= V2. The correlation's box is
+half-open (lambda < V1, lambda^sigma < V2), so N's walk leaves out at most
+one cell on j = 0, decided by exact integer sign tests; lambda = 0 is
+included by default.
 
 All bookkeeping is integer-exact. The window edges of every trace row come
 from one closed form, the largest j with j m sqrt(d) <= R, which is
@@ -55,8 +56,12 @@ _NARROW_CELL_LIMIT = 2**16 - 1
 # record cut from it, beyond the cells, under tracemalloc: at most 97 on d in {2, 3,
 # 5}, 86-99 with denominators 10^9 to 10^33 (d in {2, 5, 1000003}); kept at 160
 _ROW_BYTES = 160
-# cells per band of the product walk
-_BAND_CELLS = 1 << 14
+# cells per band of the build, at most unless one column has more: 2 MiB of uint16
+_BAND_CELLS = 1 << 20
+# swept pairs per scatter of the build, at least unless a band has fewer
+_BATCH_PAIRS = 1 << 14
+# cells per run of the product walk
+_WALK_CELLS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +263,14 @@ class RepTable:
     hold no sums of two squares when sigma = 1): its stored rows are i0[c],
     i0[c] + sigma, ..., ihi[c] (none when ihi[c] = i0[c] - sigma), and their
     counts, lambda + 1 right after lambda, are the slice flat[col_start[c]:
-    col_start[c + 1]] of one flat array, uint16 when _build proves every
-    count fits and int32 otherwise. In symmetric mode (only for V1 = V2) just
-    the j >= 0 half is stored and negative j is answered through r(lam) =
+    col_start[c + 1]] of one flat array, uint16 when the square points prove
+    every count fits and int32 otherwise. In symmetric mode (only for V1 = V2)
+    just the j >= 0 half is stored and negative j is answered through r(lam) =
     r(lam^sigma).
+
+    _build makes the cells in bands of whole columns: the whole table once its
+    cells are read by position (lookup, value, write_csv, flat before any walk),
+    else one band at a time into one buffer for the product walk (_products).
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
@@ -296,7 +305,17 @@ class RepTable:
         self._check_budget(budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
         self._compute_rows()
         self._check_budget(budget)
-        self._build()
+        self._points = self._square_points()
+        n_pts = len(self._points[0])
+        # for a fixed t the partners hit distinct cells, adding at most 8 to each
+        if 8 * n_pts > _CELL_LIMIT:
+            raise CapacityExceeded(f"{n_pts} square points could overflow 32-bit cell counters")
+        # a pair {t, s} on a cell of row i <= imax has a member t with 2 i_t <= imax,
+        # and t fixes s; each pair adds at most 8, so no cell passes 8 m, m the
+        # points with 2 i <= imax
+        narrow = 8 * int(np.count_nonzero(2 * self._points[0] <= self.imax)) <= _NARROW_CELL_LIMIT
+        self.dtype = np.uint16 if narrow else np.int32
+        self._flat = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -334,7 +353,7 @@ class RepTable:
     def _check_budget(self, budget: int, min_cells: int | None = None) -> None:
         """Refuse when the rows and cells known so far, or min_cells cells
         alone when given, need more than the budget in bytes. A cell is charged
-        the 4 bytes of int32, an upper bound for a table _build makes uint16."""
+        the 4 bytes of int32, an upper bound for a uint16 table or one band."""
         if min_cells is not None:
             need = min_cells * 4
             what = f"at least {count_text(need)} bytes (at least {count_text(min_cells)} cells)"
@@ -368,47 +387,83 @@ class RepTable:
         inside, _ = self._locate(si, np.abs(sj) if self.symmetric else sj)
         return si[inside], sj[inside], sw[inside]
 
-    def _build(self) -> None:
-        si, sj, sw = self._square_points()
-        n_pts = len(si)
-        # for a fixed t the partners hit distinct cells, adding at most 8 to each
-        if 8 * n_pts > _CELL_LIMIT:
-            raise CapacityExceeded(f"{n_pts} square points could overflow 32-bit cell counters")
-        # a pair {t, s} on a cell of row i <= imax has a member t with 2 i_t <= imax,
-        # and t fixes s; each pair adds at most 8, so no cell passes 8 m, m the
-        # points with 2 i <= imax
-        narrow = 8 * int(np.count_nonzero(2 * si <= self.imax)) <= _NARROW_CELL_LIMIT
-        dtype = np.uint16 if narrow else np.int32
-        flat = np.zeros(self.cells, dtype=dtype)
+    def _build(self, walk=None) -> None:
+        """Accumulate the cells one band of whole columns at a time: into the whole
+        table, or with walk into one buffer, handing each band to walk(k0, cells)
+        as the table's cells k0, k0 + 1, ...; flat is then that buffer."""
+        si, sj, sw = self._points
+        dtype, sigma, start = self.dtype, self.sigma, self.col_start
         # a pair {t, s} adds 2 sw_t sw_s = 8 unless s = t, which adds sw_t^2 to
         # 2 xi_t^2 (a cell that can leave the window), or t is the zero point, which
         # adds 2 sw_s to xi_s^2; each pass hits distinct cells, so a plain scatter-add is exact
         nz = si > 0
+        single = []
         for ii, jj, w in ((2 * si, 2 * sj, sw * sw), (si[nz], sj[nz], 2 * sw[nz])):
             stored, k = self._locate(ii, jj)
-            flat[k[stored]] += w[stored].astype(dtype)
-        sigma, j0 = self.sigma, self.j0
+            single.append((k[stored], w[stored].astype(dtype)))
         order = np.lexsort((si[nz], sj[nz]))
         si, sj = si[nz][order], sj[nz][order]
-        # the partners s > t of t whose sum lands on a column, j0 <= j <= j_last,
-        # are s in [max(t + 1, first[t]), last[t]); last falls as t rises, so the
-        # t with any partner come first
-        j_last = j0 + (3 - sigma) * (len(self.i0) - 1)
-        first = np.searchsorted(sj, j0 - sj)
-        last = np.searchsorted(sj, j_last - sj, side="right")
-        # xi_t^2 + xi_s^2 is on column c = u[t] + u[s] - u0, at flat[(off[c] + i) >> (sigma - 1)]
-        u, u0 = sj >> (2 - sigma), j0 >> (2 - sigma)
-        ihi, off = self.ihi, sigma * self.col_start[:-1] - self.i0
+        # xi_t^2 + xi_s^2 is on column c = u[t] + u[s] - u0, at (off[c] + i) >> (sigma - 1)
+        u, u0, after = sj >> (2 - sigma), self.j0 >> (2 - sigma), np.arange(1, len(si) + 1)
+        size = max(_BAND_CELLS, int(np.diff(start).max()))  # a band's cells at most
+        buf = np.zeros(self.cells if walk is None else min(size, self.cells), dtype=dtype)
         eight = dtype(8)  # a Python 8 would take np.add.at's slow generic path
-        for t in range(int(np.count_nonzero(last > np.arange(1, len(si) + 1)))):
-            a, b = max(t + 1, int(first[t])), int(last[t])
-            ii = si[a:b] + si[t]
-            c = u[a:b] + (u[t] - u0)
-            # ii >= i0[c] needs no test: a sum of two squares is totally nonnegative,
-            # so row ii has top = floor(ii / sqrt d) >= |jj|, and i0[c] is the first
-            # row of jj's parity with top >= |jj| (_compute_rows)
-            np.add.at(flat, (off[c] + ii)[ii <= ihi[c]] >> (sigma - 1), eight)
-        self.flat = flat
+        a = 0
+        while a < len(self.i0):
+            # the band: the whole columns from a on that fit in _BAND_CELLS, at least one
+            b = max(a + 1, int(np.searchsorted(start, start[a] + _BAND_CELLS, side="right")) - 1)
+            k0, k1 = int(start[a]), int(start[b])
+            cells = buf[k0:k1] if len(buf) == self.cells else buf[:k1 - k0]
+            cells[:] = 0
+            for k, w in single:
+                at = (k >= k0) & (k < k1)
+                cells[k[at] - k0] += w[at]
+            # the partners of t on the band's columns: s in [lo[t], lo[t] + n[t]), s > t
+            lo = np.maximum(np.searchsorted(u, a + u0 - u), after)
+            n = np.maximum(np.searchsorted(u, b + u0 - u) - lo, 0)
+            ends, off = np.cumsum(n), sigma * (start[:-1] - k0) - self.i0
+            t0 = done = 0
+            while t0 < len(n) and done < ends[-1]:
+                # the points from t0 on with at least _BATCH_PAIRS pairs, their partners s
+                # in one ragged arange; np.add.at adds a repeated cell each time. In place,
+                # so that at most three arrays of pairs are alive at once
+                t1 = min(int(np.searchsorted(ends, done + _BATCH_PAIRS)) + 1, len(n))
+                m = n[t0:t1]
+                s = np.repeat(lo[t0:t1] + m - (ends[t0:t1] - done), m)
+                s += np.arange(len(s))
+                c = u[s]
+                c += np.repeat(u[t0:t1] - u0, m)
+                s = si[s]  # the pair's row ii, then its cell
+                s += np.repeat(si[t0:t1], m)
+                # ii >= i0[c] needs no test: a sum of two squares is totally nonnegative,
+                # so row ii has top = floor(ii / sqrt d) >= |jj|, and i0[c] is the first
+                # row of jj's parity with top >= |jj| (_compute_rows)
+                keep = s <= self.ihi[c]
+                s += off[c]
+                s >>= sigma - 1
+                np.add.at(cells, s[keep], eight)
+                t0, done = t1, int(ends[t1 - 1])
+            s = c = keep = None  # the last batch's arrays go before the walk
+            if walk is not None:
+                walk(k0, cells)
+            a = b
+        self._flat = buf
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The cells _build made last: the whole table, built on a first read
+        before any build, or the last band of a walk of several."""
+        return self._cells() if self._flat is None else self._flat
+
+    @flat.setter
+    def flat(self, cells: np.ndarray) -> None:  # the whole table's cells
+        self._flat = cells
+
+    def _cells(self) -> np.ndarray:
+        """The whole table's cells, built now unless a build kept them."""
+        if self._flat is None or len(self._flat) < self.cells:
+            self._build()
+        return self._flat
 
     # -- access -----------------------------------------------------------
 
@@ -432,7 +487,7 @@ class RepTable:
         # _locate's test on Python ints, which cost a third of numpy scalars
         c = ((abs(j) if self.symmetric else j) - self.j0) >> (2 - self.sigma)
         if 0 <= c < len(self.i0) and (i0 := self.i0.item(c)) <= i <= self.ihi.item(c):
-            return self.flat.item(self.col_start.item(c) + ((i - i0) >> (self.sigma - 1)))
+            return self._cells().item(self.col_start.item(c) + ((i - i0) >> (self.sigma - 1)))
         raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
 
     def value(self, lam: QuadInt) -> int:
@@ -456,7 +511,7 @@ class RepTable:
         c = np.repeat(np.arange(len(self.i0)), np.diff(self.col_start))
         i = self.i0[c] + self.sigma * (np.arange(self.cells) - self.col_start[c])
         j = self.j0 + (3 - self.sigma) * c
-        r = self.flat
+        r = self._cells()
         if self.symmetric:  # the mirror cells (i, -j) of the columns j > 0
             m = j > 0
             i, j, r = (np.concatenate((x, y[m])) for x, y in ((i, i), (j, -j), (r, r)))
@@ -493,25 +548,34 @@ class CorrelationResult:
         }
 
 
-def _products(table: RepTable, include_lambda_zero: bool):
-    """Walk the table in bands of _BAND_CELLS cells, yielding per band (k0, p)
-    with p[k - k0] = r(lambda) r(lambda + 1) for the cell k of lambda: its
+def _products(table: RepTable, axis: list[int], emit) -> None:
+    """Walk the table in runs of _WALK_CELLS cells, calling emit(k0, p) with
+    p[k - k0] = r(lambda) r(lambda + 1) for the cell k of lambda: its
     lambda + 1 is the next cell of the column, and p is 0 at the last cell
-    of a column, where lambda + 1 lies outside the window. In symmetric
-    storage a cell with j > 0 also stands for its mirror -j, so its product
-    is doubled. The bands keep the temporaries small next to the table."""
-    flat, start = table.flat, table.col_start
+    of a column, where lambda + 1 lies outside the window, and at the cells
+    (i, 0) of the rows i in axis. In symmetric storage a cell with j > 0 also
+    stands for its mirror -j, so its product is doubled. A table whose cells
+    were read is walked in place, any other band by band as _build makes it."""
+    start, sigma = table.col_start, table.sigma
     last = start[1:] - 1  # each column's last cell (the one before, if it is empty)
-    zero = int(start[-table.j0 >> (2 - table.sigma)])  # lambda = 0, row 0 of j = 0
-    for k0 in range(0, table.cells - 1, _BAND_CELLS):
-        k1 = min(k0 + _BAND_CELLS, table.cells - 1)
-        p = flat[k0:k1].astype(np.int64) * flat[k0 + 1:k1 + 1]
-        p[last[np.searchsorted(last, k0):np.searchsorted(last, k1)] - k0] = 0
-        if table.symmetric:  # the columns j > 0 follow the column j = 0
-            p[max(int(start[1]) - k0, 0):] <<= 1
-        if not include_lambda_zero and k0 <= zero < k1:
-            p[zero - k0] = 0
-        yield k0, p
+    zero = int(start[-table.j0 >> (2 - sigma)])  # lambda = 0, row 0 of j = 0
+    skip = [zero + i // sigma for i in axis if i % sigma == 0]  # j = 0 needs i = j (mod sigma)
+
+    def walk(b0: int, cells: np.ndarray) -> None:
+        for k0 in range(b0, b0 + len(cells) - 1, _WALK_CELLS):
+            k1 = min(k0 + _WALK_CELLS, b0 + len(cells) - 1)
+            p = cells[k0 - b0:k1 - b0].astype(np.int64)
+            p *= cells[k0 - b0 + 1:k1 - b0 + 1]
+            p[last[np.searchsorted(last, k0):np.searchsorted(last, k1)] - k0] = 0
+            if table.symmetric:  # the columns j > 0 follow the column j = 0
+                p[max(int(start[1]) - k0, 0):] <<= 1
+            p[[k - k0 for k in skip if k0 <= k < k1]] = 0
+            emit(k0, p)
+
+    if table._flat is None or len(table._flat) < table.cells:
+        table._build(walk)
+    else:
+        walk(0, table._flat)
 
 
 def _strict_row_range(table: RepTable) -> int | None:
@@ -535,14 +599,16 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         want2 = make_bound(field, v2).describe()
         if table.v1.describe() != want1 or table.v2.describe() != want2:
             raise OutOfRange("supplied table was built for different bounds")
-    total = 0
-    for _, p in _products(table, include_lambda_zero):
-        # exact in int64: a product is below 2^63, so each part is below 2^32,
-        # summed over at most 2^14 cells
-        total += int((p & ((1 << 31) - 1)).sum()) + (int((p >> 31).sum()) << 31)
+    axis = [] if include_lambda_zero else [0]
     edge = _strict_row_range(table)
     if edge is not None:  # the closed box's cell on an edge of the half-open one
-        total -= table.lookup(edge, 0) * table.lookup(edge + table.sigma, 0)
+        axis.append(edge)
+    parts = []
+    # exact in int64: a product is below 2^63, so each part is below 2^32,
+    # summed over at most 2^14 cells
+    _products(table, axis, lambda _, p: parts.append(
+        int((p & ((1 << 31) - 1)).sum()) + (int((p >> 31).sum()) << 31)))
+    total = sum(parts)
 
     c = c_constant(field)
     main = float(c) * float(table.v1) * float(table.v2)
@@ -586,14 +652,15 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
     starts = table.col_start.tolist()
 
-    for k0, p in _products(table, include_lambda_zero):
+    def bucket(k0: int, p: np.ndarray) -> None:
         k1 = k0 + len(p)
-        # one slice per column with cells in the band; cells past the grid are left out
+        # one slice per column with cells in the run; cells past the grid are left out
         for c in range(bisect_right(starts, k0) - 1, bisect_left(starts, k1)):
             a, b = max(starts[c], k0), min(starts[c + 1], k1, xmax + 1 - shift[c])
             if b > a:
                 buckets[a + shift[c]:b + shift[c]] += p[a - k0:b - k0]
 
+    _products(table, [] if include_lambda_zero else [0], bucket)
     return np.cumsum(buckets)
 
 

@@ -54,7 +54,7 @@ def _lattice_points(field, box: int):
 
 
 def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
-                     samples: int = 300) -> list[CheckResult]:
+                     samples: int = 300, memory_budget: int | None = None) -> list[CheckResult]:
     # a smaller value would leave a check with nothing to cover
     for name, value, least in (("dmax", dmax, 2), ("box", box, 1),
                                ("corr_limit", corr_limit, 1), ("samples", samples, 2)):
@@ -126,7 +126,7 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     bad = 0
     for d in (2, 5):
         f = field_new(d)
-        table = RepTable(f, box, box, symmetric=False)
+        table = RepTable(f, box, box, symmetric=False, memory_budget=memory_budget)
         for lam in _lattice_points(f, box):
             if table.value(lam) != r_brute(f, lam):
                 bad += 1
@@ -138,7 +138,7 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
         f = field_new(d)
         for v1 in range(1, corr_limit + 1):
             for v2 in range(1, corr_limit + 1):
-                a = correlation(f, v1, v2).n_value
+                a = correlation(f, v1, v2, memory_budget=memory_budget).n_value
                 b = correlation_group_oracle(f, v1, v2)
                 if a != b:
                     bad.append((d, v1, v2, a, b))
@@ -182,8 +182,9 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
 
     # the symmetric table layout against full storage
     f2 = field_new(2)
-    base = correlation(f2, 300, 300).n_value
-    alt = correlation(f2, 300, 300, table=RepTable(f2, 300, 300, symmetric=False)).n_value
+    base = correlation(f2, 300, 300, memory_budget=memory_budget).n_value
+    alt = correlation(f2, 300, 300, table=RepTable(f2, 300, 300, symmetric=False,
+                                                   memory_budget=memory_budget)).n_value
     add("storage-determinism", base == alt, f"symmetric {base} vs full {alt}")
 
     return results

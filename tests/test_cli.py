@@ -79,7 +79,7 @@ def test_correlate_dump_table(tmp_path, capsys):
 
 @pytest.mark.parametrize("path", ["/nonexistent/x.csv", "."])
 def test_dump_table_path_refused_before_any_table(capsys, monkeypatch, path):
-    def table_built(self):
+    def table_built(self, walk=None):
         raise AssertionError("a table was built before the dump path was checked")
 
     monkeypatch.setattr(corrsum.RepTable, "_build", table_built)
@@ -304,6 +304,14 @@ def test_verify_quick(capsys):
                                 "--corr-limit", "3", "--samples", "40")
     assert code == 0
     assert payload["all_passed"] is True
+
+
+def test_verify_tables_honour_the_memory_budget(capsys):
+    # the battery's first table (d = 2, box 5) is refused on its 7 rows alone
+    code, out, err = run(capsys, "verify", "--dmax", "2", "--box", "5", "--corr-limit", "1",
+                         "--samples", "2", "--memory-budget", "1000")
+    assert code == 3
+    assert out == "" and err.startswith("error: table needs") and len(err.splitlines()) == 1
 
 
 # a depth limit below 1 is invalid (2); a search that does not close is refused (3)

@@ -606,9 +606,8 @@ def test_grid_exact_past_float_precision():
     assert int(RepTable(field, 20, 20).flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
     build = RepTable._build
 
-    def scaled(table):  # cells at a wide table's scale
-        build(table)
-        table.flat = table.flat.astype(np.int32) * c
+    def scaled(table, walk):  # each band handed to the walk at a wide table's scale
+        build(table, lambda k0, cells: walk(k0, cells.astype(np.int32) * c))
 
     with mock.patch.object(RepTable, "_build", scaled):
         assert (correlation_grid(field, 20) == plain * (c * c)).all()
@@ -674,6 +673,68 @@ def test_correlation_exact_past_int64():
     table.flat *= 2**31 - 1
     big = correlation(field, 40, 40, table=table).n_value
     assert ones > 2 and big == ones * (2**31 - 1) ** 2
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.booleans(), st.sampled_from([1, 7]),
+       st.sampled_from([1, 3]), st.data())
+@settings(max_examples=40, deadline=None)
+@example(d=2, symmetric=False, include_zero=True, band=1, batch=3, data=THIN)
+@example(d=5, symmetric=False, include_zero=False, band=7, batch=1, data=THIN)
+@example(d=17, symmetric=False, include_zero=True, band=1, batch=1,
+         data=(Fraction(7), Fraction(14)))
+# an edge cell (9, 0) off the ring, whose row is odd in doubled coordinates
+@example(d=17, symmetric=False, include_zero=False, band=7, batch=3,
+         data=(Fraction(9, 2), Fraction(11)))
+@example(d=3, symmetric=True, include_zero=False, band=7, batch=3,
+         data=(Fraction(12), Fraction(12)))
+def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, data):
+    """A walk band by band, in bands of one column (band = 1 cell) or of a few
+    cells, which still take whole columns, and scatters of 1 or 3 pairs, gives
+    the N and the F grid of the whole table and of the reference routes.
+    Integer bounds put the closed box's edge cell on the axis."""
+    field = field_new(d)
+    if isinstance(data, (str, tuple)):
+        v1, v2 = _sides(d, symmetric, data)
+        xmax = 9
+    else:
+        side = st.integers(1, 30) | st.fractions(Fraction(1, 3), 30, max_denominator=7)
+        thin = st.builds(lambda v: InvSqrtBound(d, v), st.integers(1, 3000))
+        v1 = data.draw(side) if symmetric else data.draw(side | thin)
+        v2 = v1 if symmetric else data.draw(side | thin)
+        xmax = data.draw(st.integers(1, 9))
+    with mock.patch.object(corrsum, "_BAND_CELLS", band), \
+            mock.patch.object(corrsum, "_BATCH_PAIRS", batch):
+        streamed = RepTable(field, v1, v2, symmetric=symmetric)
+        n = correlation(field, v1, v2, table=streamed, include_lambda_zero=include_zero).n_value
+        read = RepTable(field, v1, v2, symmetric=symmetric)
+        assert (read.flat == _reference_flat(read)).all()
+        grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
+    # the walk held one band: at most `band` cells, or one column
+    assert len(streamed.flat) <= max(band, int(np.diff(streamed.col_start).max()))
+    assert n == correlation(field, v1, v2, table=read, include_lambda_zero=include_zero).n_value
+    assert n == _reference_correlation(read, include_zero)
+    assert (grid == correlation_grid(field, xmax, include_lambda_zero=include_zero)).all()
+    for v in range(1, xmax + 1):
+        box = RepTable(field, v, v)
+        assert grid[v] == _reference_correlation(box, include_zero), v
+
+
+def test_walk_memory_follows_the_band_size():
+    """d=5, xmax=3000 stores about 2.0M cells, 4 MB of uint16: walked in bands
+    of 2^16 cells, the grid peaks under a quarter of the one-band walk."""
+    field = field_new(5)
+    correlation_grid(field, 50)  # warm up lazily built state
+    peaks, grids = [], []
+    for cells in (1 << 30, 1 << 16):
+        with mock.patch.object(corrsum, "_BAND_CELLS", cells):
+            tracemalloc.start()
+            try:
+                grids.append(correlation_grid(field, 3000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert (grids[0] == grids[1]).all()
+    assert peaks[1] < peaks[0] / 4, peaks
 
 
 @given(st.sampled_from(RING_DS), st.data())
