@@ -7,9 +7,10 @@ parent commit unpacked with `git archive`. The argv run are every op of the
 benchmark's workloads (`perfbench/workloads.py`, imported read-only) for
 seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
 rational forms, large denominators, whose row edges take an inexact
-bracket, tables of several column bands (`corrsum._BAND_CELLS`), and
-refusals of a missing CSV form, a nonpositive bound and a box that one
-route's guard refuses after the other's passes. Each checkout runs them all
+bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
+table and axis cells for the product walk, and refusals of a missing CSV
+form, a nonpositive bound and a box that one route's guard refuses after
+the other's passes. Each checkout runs them all
 through `quadcorr.cli.main` in its own process, with its own `src` on the
 path; a `--dump-table` file is read back and its SHA-256 added to the
 stdout. The script prints each argv whose exit code or stdout differ, and
@@ -59,6 +60,11 @@ EXTRA = [
     ["table-f", "--d", "2", "--xmax", "6000", "--exclude-lambda-zero", "--format", "csv"],
     ["correlate", "--d", "2", "--v1", "3000", "--v2", "2000",
      "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
+    # the product walk: an int32 table, whose dot chunks follow its largest cell, a
+    # full-storage box whose integer bounds put an edge cell on the axis, and the F grid
+    ["correlate", "--d", "2", "--v1", "20000", "--v2", "20000"],
+    ["correlate", "--d", "13", "--v1", "4000", "--v2", "2500", "--exclude-lambda-zero"],
+    ["table-f", "--d", "5", "--xmax", "3000", "--exclude-lambda-zero", "--format", "csv"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

@@ -110,9 +110,12 @@ def _chi_factor(field: FieldData) -> int:
 
 def c_constant(field: FieldData) -> Fraction:
     """The correlation constant C_D = 32*Delta / ((2 - chi(2) + 2 chi(4)) * s2),
-    exact."""
-    _, _, s2 = weighted_char_sums(field)
-    return Fraction(32 * field.delta, _chi_factor(field) * s2)
+    exact; computed once per field and kept on it."""
+    if field._c_constant is None:
+        _, _, s2 = weighted_char_sums(field)
+        c = Fraction(32 * field.delta, _chi_factor(field) * s2)
+        object.__setattr__(field, "_c_constant", c)
+    return field._c_constant
 
 
 def index_gamma(field: FieldData) -> int:

@@ -60,7 +60,7 @@ _ROW_BYTES = 160
 _BAND_CELLS = 1 << 20
 # swept pairs per scatter of the build, at least unless a band has fewer
 _BATCH_PAIRS = 1 << 14
-# cells per run of the product walk
+# products per chunk of the product walk, at most
 _WALK_CELLS = 1 << 14
 
 
@@ -270,7 +270,7 @@ class RepTable:
 
     _build makes the cells in bands of whole columns: the whole table once its
     cells are read by position (lookup, value, write_csv, flat before any walk),
-    else one band at a time into one buffer for the product walk (_products).
+    else one band at a time into one buffer for the product walk (_walk).
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
@@ -548,34 +548,32 @@ class CorrelationResult:
         }
 
 
-def _products(table: RepTable, axis: list[int], emit) -> None:
-    """Walk the table in runs of _WALK_CELLS cells, calling emit(k0, p) with
-    p[k - k0] = r(lambda) r(lambda + 1) for the cell k of lambda: its
-    lambda + 1 is the next cell of the column, and p is 0 at the last cell
-    of a column, where lambda + 1 lies outside the window, and at the cells
-    (i, 0) of the rows i in axis. In symmetric storage a cell with j > 0 also
-    stands for its mirror -j, so its product is doubled. A table whose cells
-    were read is walked in place, any other band by band as _build makes it."""
+def _walk(table: RepTable, axis: list[int], visit) -> None:
+    """Hand the products r(lambda) r(lambda + 1) to visit(k0, x, w, skip) band by
+    band, x the cells k0, k0 + 1, ... of whole columns: the product of x[k] is
+    x[k] x[k + 1], lambda + 1 being the next cell of the column, and counts w times,
+    but not at a column's last cell (x[-1] is one), whose lambda + 1 is outside the
+    window, nor at the positions skip of the cells (i, 0) of the rows i in axis. A
+    symmetric table's cells with j > 0 stand for their mirrors -j too: from col_start[1]
+    on, after the column j = 0, w = 2. A table whose cells were read is walked in
+    place, any other band by band as _build makes it."""
     start, sigma = table.col_start, table.sigma
-    last = start[1:] - 1  # each column's last cell (the one before, if it is empty)
-    zero = int(start[-table.j0 >> (2 - sigma)])  # lambda = 0, row 0 of j = 0
-    skip = [zero + i // sigma for i in axis if i % sigma == 0]  # j = 0 needs i = j (mod sigma)
+    c0 = -table.j0 >> (2 - sigma)  # the column j = 0, whose row 0 is lambda = 0
+    zero, last = int(start[c0]), int(start[c0 + 1]) - 1
+    # j = 0 needs i = j (mod sigma); the column's last cell has no product to leave out
+    skip = {zero + i // sigma for i in axis if i % sigma == 0 and zero + i // sigma < last}
+    seam = int(start[1]) if table.symmetric else 0
 
-    def walk(b0: int, cells: np.ndarray) -> None:
-        for k0 in range(b0, b0 + len(cells) - 1, _WALK_CELLS):
-            k1 = min(k0 + _WALK_CELLS, b0 + len(cells) - 1)
-            p = cells[k0 - b0:k1 - b0].astype(np.int64)
-            p *= cells[k0 - b0 + 1:k1 - b0 + 1]
-            p[last[np.searchsorted(last, k0):np.searchsorted(last, k1)] - k0] = 0
-            if table.symmetric:  # the columns j > 0 follow the column j = 0
-                p[max(int(start[1]) - k0, 0):] <<= 1
-            p[[k - k0 for k in skip if k0 <= k < k1]] = 0
-            emit(k0, p)
+    def band(k0: int, cells: np.ndarray) -> None:
+        k1 = k0 + len(cells)
+        for a, b, w in ((k0, min(k1, seam), 1), (max(k0, seam), k1, 1 + table.symmetric)):
+            if b > a:
+                visit(a, cells[a - k0:b - k0], w, [k - a for k in skip if a <= k < b])
 
     if table._flat is None or len(table._flat) < table.cells:
-        table._build(walk)
+        table._build(band)
     else:
-        walk(0, table._flat)
+        band(0, table._flat)
 
 
 def _strict_row_range(table: RepTable) -> int | None:
@@ -603,13 +601,27 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
     edge = _strict_row_range(table)
     if edge is not None:  # the closed box's cell on an edge of the half-open one
         axis.append(edge)
-    parts = []
-    # exact in int64: a product is below 2^63, so each part is below 2^32,
-    # summed over at most 2^14 cells
-    _products(table, axis, lambda _, p: parts.append(
-        int((p & ((1 << 31) - 1)).sum()) + (int((p >> 31).sum()) << 31)))
-    total = sum(parts)
+    ends = table.col_start[1:][table.ihi >= table.i0] - 1  # each nonempty column's last cell
+    total = 0
 
+    def add(k0: int, x: np.ndarray, w: int, skip: list[int]) -> None:
+        nonlocal total
+        # n products a dot, each at most m^2 for the largest cell m, keep every int64
+        # partial sum within n m^2 < 2^63, so no dot wraps; a uint16 cell allows _WALK_CELLS
+        m = _NARROW_CELL_LIMIT if x.dtype == np.uint16 else int(x.max())
+        n = min(_WALK_CELLS, (2**63 - 1) // max(1, m * m))
+        s = 0
+        for a in range(0, len(x) - 1, n):
+            y = x[a:a + n + 1].astype(np.int64)
+            s += int(np.dot(y[:-1], y[1:]))
+        # less the products at the column ends, one gathered dot, and at the axis cells
+        e = ends[ends.searchsorted(k0):ends.searchsorted(k0 + len(x) - 1)] - k0
+        y, z = x.take(e).astype(np.int64), x[1:].take(e)
+        for a in range(0, len(e), n):
+            s -= int(np.dot(y[a:a + n], z[a:a + n]))
+        total += w * (s - sum(x.item(k) * x.item(k + 1) for k in skip))
+
+    _walk(table, axis, add)
     c = c_constant(field)
     main = float(c) * float(table.v1) * float(table.v2)
     return CorrelationResult(
@@ -635,14 +647,14 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     """N_D(V, V) for every integer V = 0..xmax, as one int64 array, from the
     table of the box (xmax, xmax), which stores the columns j >= 0 alone.
 
-    The products of _products are bucketed by the first integer V whose box
+    The products of _walk are bucketed by the first integer V whose box
     contains their cell, which is floor(max(lambda, lambda^sigma)) + 1, and
     the buckets are prefix-summed.
     """
     if xmax < 0:
         raise OutOfRange("xmax must be >= 0")
     table = RepTable(field, xmax, xmax, memory_budget=memory_budget)
-    buckets = np.zeros(xmax + 1, dtype=np.int64)
+    buckets = np.zeros((2, xmax + 1), dtype=np.int64)  # the products counted once, twice
 
     # max(lambda, lambda^sigma) = (i + floor(j sqrt d)) / sigma rises by one per
     # cell of a column, so the bucket of the cell k of column c is k + shift[c]
@@ -652,16 +664,23 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
     starts = table.col_start.tolist()
 
-    def bucket(k0: int, p: np.ndarray) -> None:
-        k1 = k0 + len(p)
-        # one slice per column with cells in the run; cells past the grid are left out
-        for c in range(bisect_right(starts, k0) - 1, bisect_left(starts, k1)):
-            a, b = max(starts[c], k0), min(starts[c + 1], k1, xmax + 1 - shift[c])
-            if b > a:
-                buckets[a + shift[c]:b + shift[c]] += p[a - k0:b - k0]
+    def bucket(k0: int, x: np.ndarray, w: int, skip: list[int]) -> None:
+        out, end = buckets[w - 1], k0 + len(x) - 1
+        for a in range(k0, end, _WALK_CELLS):
+            b = min(a + _WALK_CELLS, end)
+            p = x[a - k0:b - k0].astype(np.int64)
+            p *= x[a - k0 + 1:b - k0 + 1]
+            # a slice per column in the chunk, short of its last cell; none past the grid
+            for c in range(bisect_right(starts, a) - 1, bisect_left(starts, b)):
+                lo, hi = max(starts[c], a), min(starts[c + 1] - 1, b, xmax + 1 - shift[c])
+                if hi > lo:
+                    out[lo + shift[c]:hi + shift[c]] += p[lo - a:hi - a]
+        for k in skip:  # the axis cells' products leave their buckets, if on the grid
+            v = k0 + k + shift[bisect_right(starts, k0 + k) - 1]
+            out[v:v + 1] -= x.item(k) * x.item(k + 1)
 
-    _products(table, [] if include_lambda_zero else [0], bucket)
-    return np.cumsum(buckets)
+    _walk(table, [] if include_lambda_zero else [0], bucket)
+    return np.cumsum(buckets[0] + 2 * buckets[1])
 
 
 @dataclass(frozen=True)

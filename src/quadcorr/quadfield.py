@@ -118,10 +118,12 @@ def chi_table(d: int, delta: int, prime_divisors: list[int]) -> np.ndarray:
 class FieldData:
     """A real quadratic field Q(sqrt(d)) with its ring data and character table.
 
-    Immutable; instances are shareable across threads.
+    Immutable, but for _c_constant, which holds C_D once character.c_constant
+    has computed it (a thread that computes it again stores the same value);
+    instances are shareable across threads.
     """
 
-    __slots__ = ("d", "delta", "ring_class", "_chi")
+    __slots__ = ("d", "delta", "ring_class", "_chi", "_c_constant")
 
     def __init__(self, d: int):
         if d <= 1:
@@ -138,6 +140,7 @@ class FieldData:
             RingClass.ONE_MOD_FOUR if d % 4 == 1 else RingClass.OTHER_MOD_FOUR,
         )
         object.__setattr__(self, "_chi", chi_table(d, delta, primes))
+        object.__setattr__(self, "_c_constant", None)
         self._chi.setflags(write=False)
 
     def __setattr__(self, name, value):  # immutability

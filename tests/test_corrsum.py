@@ -675,23 +675,46 @@ def test_correlation_exact_past_int64():
     assert ones > 2 and big == ones * (2**31 - 1) ** 2
 
 
+@pytest.mark.parametrize("d", RING_DS)
+def test_walk_exact_at_the_largest_cells(d):
+    """Every cell at 2^31 - 1 makes each product about 2^62, so the chunk rule
+    allows (2^63 - 1) // (2^31 - 1)^2 = 2 products a dot, whose sum stays below
+    2^63; a third product, or a doubled bound, wraps. With every cell c, N is
+    c^2 times N on cells of 1, on symmetric and on full storage, whose axis
+    holds lambda = 0 and the edge cell of the integer bounds."""
+    field = field_new(d)
+    for v1, v2, include_zero in ((12, 12, True), (12, 7, False), (Fraction(23, 2), 9, True)):
+        table = RepTable(field, v1, v2)
+        table.flat = np.ones(table.cells, dtype=np.int32)
+        ones = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero).n_value
+        table.flat *= 2**31 - 1
+        big = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero).n_value
+        assert ones > 2 and big == ones * (2**31 - 1) ** 2, (v1, v2)
+
+
 @given(st.sampled_from(RING_DS), st.booleans(), st.booleans(), st.sampled_from([1, 7]),
-       st.sampled_from([1, 3]), st.data())
-@settings(max_examples=40, deadline=None)
-@example(d=2, symmetric=False, include_zero=True, band=1, batch=3, data=THIN)
-@example(d=5, symmetric=False, include_zero=False, band=7, batch=1, data=THIN)
-@example(d=17, symmetric=False, include_zero=True, band=1, batch=1,
+       st.sampled_from([1, 3]), st.sampled_from([1, 2, 3]), st.data())
+@settings(max_examples=60, deadline=None)
+@example(d=2, symmetric=False, include_zero=True, band=1, batch=3, walk=1, data=THIN)
+@example(d=5, symmetric=False, include_zero=False, band=7, batch=1, walk=2, data=THIN)
+@example(d=17, symmetric=False, include_zero=True, band=1, batch=1, walk=3,
          data=(Fraction(7), Fraction(14)))
 # an edge cell (9, 0) off the ring, whose row is odd in doubled coordinates
-@example(d=17, symmetric=False, include_zero=False, band=7, batch=3,
+@example(d=17, symmetric=False, include_zero=False, band=7, batch=3, walk=1,
          data=(Fraction(9, 2), Fraction(11)))
-@example(d=3, symmetric=True, include_zero=False, band=7, batch=3,
+@example(d=3, symmetric=True, include_zero=False, band=7, batch=3, walk=2,
          data=(Fraction(12), Fraction(12)))
-def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, data):
-    """A walk band by band, in bands of one column (band = 1 cell) or of a few
-    cells, which still take whole columns, and scatters of 1 or 3 pairs, gives
-    the N and the F grid of the whole table and of the reference routes.
-    Integer bounds put the closed box's edge cell on the axis."""
+@example(d=6, symmetric=True, include_zero=True, band=1 << 20, batch=3, walk=3,
+         data=(Fraction(12), Fraction(12)))
+@example(d=13, symmetric=False, include_zero=False, band=1 << 20, batch=1, walk=2,
+         data=(Fraction(11), Fraction(6)))
+def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, walk, data):
+    """A walk band by band, in bands of one column (band = 1 cell), of a few
+    cells, which still take whole columns, or of the whole table, scatters of 1
+    or 3 pairs, and walk chunks of 1, 2 or 3 products, gives the N and the F
+    grid of the whole table and of the reference routes. Chunk seams then fall
+    on column ends, on the mirror seam col_start[1], on lambda = 0 and on the
+    closed box's edge cell, which integer bounds put on the axis."""
     field = field_new(d)
     if isinstance(data, (str, tuple)):
         v1, v2 = _sides(d, symmetric, data)
@@ -703,15 +726,18 @@ def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, da
         v2 = v1 if symmetric else data.draw(side | thin)
         xmax = data.draw(st.integers(1, 9))
     with mock.patch.object(corrsum, "_BAND_CELLS", band), \
-            mock.patch.object(corrsum, "_BATCH_PAIRS", batch):
+            mock.patch.object(corrsum, "_BATCH_PAIRS", batch), \
+            mock.patch.object(corrsum, "_WALK_CELLS", walk):
         streamed = RepTable(field, v1, v2, symmetric=symmetric)
         n = correlation(field, v1, v2, table=streamed, include_lambda_zero=include_zero).n_value
         read = RepTable(field, v1, v2, symmetric=symmetric)
         assert (read.flat == _reference_flat(read)).all()
+        walked = correlation(field, v1, v2, table=read, include_lambda_zero=include_zero).n_value
         grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
     # the walk held one band: at most `band` cells, or one column
     assert len(streamed.flat) <= max(band, int(np.diff(streamed.col_start).max()))
-    assert n == correlation(field, v1, v2, table=read, include_lambda_zero=include_zero).n_value
+    assert n == walked == correlation(field, v1, v2, table=read,
+                                      include_lambda_zero=include_zero).n_value
     assert n == _reference_correlation(read, include_zero)
     assert (grid == correlation_grid(field, xmax, include_lambda_zero=include_zero)).all()
     for v in range(1, xmax + 1):
