@@ -8,13 +8,13 @@ benchmark's workloads (`perfbench/workloads.py`, imported read-only) for
 seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
 rational forms, large denominators, whose row edges take an inexact
 bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
-table and axis cells for the product walk, and refusals of a missing CSV
-form, a nonpositive bound and a box that one route's guard refuses after
-the other's passes. Each checkout runs them all
-through `quadcorr.cli.main` in its own process, with its own `src` on the
-path; a `--dump-table` file is read back and its SHA-256 added to the
-stdout. The script prints each argv whose exit code or stdout differ, and
-exits 1 if any do.
+table and axis cells for the product walk, a full and a symmetric table's
+`--dump-table`, and refusals of a missing CSV form, a nonpositive bound and
+a box that one route's guard refuses after the other's passes. Each
+checkout runs them all through `quadcorr.cli.main` in its own process,
+with its own `src` on the path; a `--dump-table` file is read back and its
+SHA-256 added to the stdout. The script prints each argv whose exit code or
+stdout differ, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ EXTRA = [
     ["correlate", "--d", "13", "--v1", "4000", "--v2", "2500"],
     ["table-f", "--d", "2", "--xmax", "6000", "--exclude-lambda-zero", "--format", "csv"],
     ["correlate", "--d", "2", "--v1", "3000", "--v2", "2000",
+     "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
+    # a symmetric table's dump, with its mirror cells, then a walk after the whole table
+    ["correlate", "--d", "5", "--v1", "300", "--v2", "300",
      "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
     # the product walk: an int32 table, whose dot chunks follow its largest cell, a
     # full-storage box whose integer bounds put an edge cell on the axis, and the F grid
@@ -110,7 +113,6 @@ def _argvs() -> list[list[str]]:
 
 def _run(checkout: str, argvs: list[list[str]]) -> list[list]:
     env = {**os.environ, "PYTHONPATH": os.path.join(checkout, "src")}
-    env.pop("QUADCORR_MEM_BUDGET", None)
     proc = subprocess.run([sys.executable, "-c", RUNNER], input=json.dumps(argvs),
                           capture_output=True, text=True, cwd=checkout, env=env)
     if proc.returncode != 0:

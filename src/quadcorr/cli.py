@@ -181,7 +181,7 @@ def _cmd_correlate(args) -> int:
     if args.oracle == "group":  # both routes' guards before either route's work
         oracle_guard(field, args.v1, args.v2)
     table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
-    if path:  # the whole table, built once for the dump and the walk
+    if path:  # the whole table for the dump; the walk then builds it again band by band
         with open(path, "w", encoding="utf-8") as fh:
             table.write_csv(fh)
     res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include)

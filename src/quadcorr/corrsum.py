@@ -216,11 +216,6 @@ def _max_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
     return j
 
 
-def _min_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
-    """Smallest j with bound >= (i - j sqrt d)/sigma, per row."""
-    return -_max_j(bound, i, sigma)
-
-
 # sqrt(d) is bracketed as s/_SQRT_SCALE <= sqrt(d) < (s + 1)/_SQRT_SCALE
 _SQRT_SCALE = 1 << 32
 
@@ -268,9 +263,9 @@ class RepTable:
     just the j >= 0 half is stored and negative j is answered through r(lam) =
     r(lam^sigma).
 
-    _build makes the cells in bands of whole columns: the whole table once its
-    cells are read by position (lookup, value, write_csv, flat before any walk),
-    else one band at a time into one buffer for the product walk (_walk).
+    _build makes the cells in bands of whole columns into one buffer, flat: the
+    whole table as one band for reads by position (_cells: lookup, value,
+    write_csv), and one band at a time for the product walk (_walk).
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
@@ -315,7 +310,7 @@ class RepTable:
         # points with 2 i <= imax
         narrow = 8 * int(np.count_nonzero(2 * self._points[0] <= self.imax)) <= _NARROW_CELL_LIMIT
         self.dtype = np.uint16 if narrow else np.int32
-        self._flat = None
+        self.flat = None
 
     # -- geometry ---------------------------------------------------------
 
@@ -326,7 +321,7 @@ class RepTable:
         top = _floor_div_sqrt(i, 1, d)  # lambda, lambda^sigma >= 0
         # lambda - 1 is the cell (i - sigma, j): lambda <= v1 + 1 is lambda - 1 <= v1
         mx = _max_j(self.v1, i - sigma, sigma)
-        mn = _min_j(self.v2, i - sigma, sigma)
+        mn = -_max_j(self.v2, i - sigma, sigma)  # the smallest j with v2 + 1 >= lambda^sigma
         hi, lo = np.minimum(top, mx), np.maximum(-top, mn)
         filled = np.flatnonzero(hi >= lo)
         if not len(filled):
@@ -388,9 +383,9 @@ class RepTable:
         return si[inside], sj[inside], sw[inside]
 
     def _build(self, walk=None) -> None:
-        """Accumulate the cells one band of whole columns at a time: into the whole
-        table, or with walk into one buffer, handing each band to walk(k0, cells)
-        as the table's cells k0, k0 + 1, ...; flat is then that buffer."""
+        """Accumulate the cells one band of whole columns at a time into one buffer,
+        flat: without walk the whole table is one band, with walk each band is handed
+        to walk(k0, cells) as the table's cells k0, k0 + 1, ..."""
         si, sj, sw = self._points
         dtype, sigma, start = self.dtype, self.sigma, self.col_start
         # a pair {t, s} adds 2 sw_t sw_s = 8 unless s = t, which adds sw_t^2 to
@@ -405,15 +400,16 @@ class RepTable:
         si, sj = si[nz][order], sj[nz][order]
         # xi_t^2 + xi_s^2 is on column c = u[t] + u[s] - u0, at (off[c] + i) >> (sigma - 1)
         u, u0, after = sj >> (2 - sigma), self.j0 >> (2 - sigma), np.arange(1, len(si) + 1)
-        size = max(_BAND_CELLS, int(np.diff(start).max()))  # a band's cells at most
-        buf = np.zeros(self.cells if walk is None else min(size, self.cells), dtype=dtype)
+        # a band's cells at most, unless one column has more: the whole table, or for a walk
+        # _BAND_CELLS; a band takes the whole columns from a on that fit, at least one
+        band = self.cells if walk is None else _BAND_CELLS
+        buf = np.zeros(min(max(band, int(np.diff(start).max())), self.cells), dtype=dtype)
         eight = dtype(8)  # a Python 8 would take np.add.at's slow generic path
         a = 0
         while a < len(self.i0):
-            # the band: the whole columns from a on that fit in _BAND_CELLS, at least one
-            b = max(a + 1, int(np.searchsorted(start, start[a] + _BAND_CELLS, side="right")) - 1)
+            b = max(a + 1, int(np.searchsorted(start, start[a] + band, side="right")) - 1)
             k0, k1 = int(start[a]), int(start[b])
-            cells = buf[k0:k1] if len(buf) == self.cells else buf[:k1 - k0]
+            cells = buf[:k1 - k0]
             cells[:] = 0
             for k, w in single:
                 at = (k >= k0) & (k < k1)
@@ -447,23 +443,13 @@ class RepTable:
             if walk is not None:
                 walk(k0, cells)
             a = b
-        self._flat = buf
-
-    @property
-    def flat(self) -> np.ndarray:
-        """The cells _build made last: the whole table, built on a first read
-        before any build, or the last band of a walk of several."""
-        return self._cells() if self._flat is None else self._flat
-
-    @flat.setter
-    def flat(self, cells: np.ndarray) -> None:  # the whole table's cells
-        self._flat = cells
+        self.flat = buf
 
     def _cells(self) -> np.ndarray:
-        """The whole table's cells, built now unless a build kept them."""
-        if self._flat is None or len(self._flat) < self.cells:
+        """The whole table's cells, built now unless the last build was one band."""
+        if self.flat is None or len(self.flat) < self.cells:
             self._build()
-        return self._flat
+        return self.flat
 
     # -- access -----------------------------------------------------------
 
@@ -484,11 +470,10 @@ class RepTable:
             raise OutOfRange(f"row {i} lies outside the stored window")
         if (j - (i & (self.sigma - 1))) % 2 != 0:  # j = i (mod 2) when sigma = 2, else even
             return 0
-        # _locate's test on Python ints, which cost a third of numpy scalars
-        c = ((abs(j) if self.symmetric else j) - self.j0) >> (2 - self.sigma)
-        if 0 <= c < len(self.i0) and (i0 := self.i0.item(c)) <= i <= self.ihi.item(c):
-            return self._cells().item(self.col_start.item(c) + ((i - i0) >> (self.sigma - 1)))
-        raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
+        stored, k = self._locate(i, abs(j) if self.symmetric else j)
+        if not stored:
+            raise OutOfRange(f"cell ({i}, {j}) lies outside the stored window")
+        return self._cells().item(k)
 
     def value(self, lam: QuadInt) -> int:
         """r(lambda) for a ring element inside the window."""
@@ -555,8 +540,8 @@ def _walk(table: RepTable, axis: list[int], visit) -> None:
     but not at a column's last cell (x[-1] is one), whose lambda + 1 is outside the
     window, nor at the positions skip of the cells (i, 0) of the rows i in axis. A
     symmetric table's cells with j > 0 stand for their mirrors -j too: from col_start[1]
-    on, after the column j = 0, w = 2. A table whose cells were read is walked in
-    place, any other band by band as _build makes it."""
+    on, after the column j = 0, w = 2. The bands are _build's, handed on as it makes
+    them, also when the whole table was built before."""
     start, sigma = table.col_start, table.sigma
     c0 = -table.j0 >> (2 - sigma)  # the column j = 0, whose row 0 is lambda = 0
     zero, last = int(start[c0]), int(start[c0 + 1]) - 1
@@ -570,10 +555,7 @@ def _walk(table: RepTable, axis: list[int], visit) -> None:
             if b > a:
                 visit(a, cells[a - k0:b - k0], w, [k - a for k in skip if a <= k < b])
 
-    if table._flat is None or len(table._flat) < table.cells:
-        table._build(band)
-    else:
-        band(0, table._flat)
+    table._build(band)
 
 
 def _strict_row_range(table: RepTable) -> int | None:
@@ -593,6 +575,8 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
     if table is None:
         table = RepTable(field, v1, v2, memory_budget=memory_budget)
     else:
+        if table.field.d != field.d:
+            raise OutOfRange("supplied table was built for a different field")
         want1 = make_bound(field, v1).describe()
         want2 = make_bound(field, v2).describe()
         if table.v1.describe() != want1 or table.v2.describe() != want2:
@@ -644,15 +628,15 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
 
 def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool = True,
                      memory_budget: int | None = None) -> np.ndarray:
-    """N_D(V, V) for every integer V = 0..xmax, as one int64 array, from the
-    table of the box (xmax, xmax), which stores the columns j >= 0 alone.
+    """N_D(V, V) for every integer V = 0..xmax, xmax >= 1, as one int64 array,
+    from the table of the box (xmax, xmax), which stores the columns j >= 0 alone.
 
     The products of _walk are bucketed by the first integer V whose box
     contains their cell, which is floor(max(lambda, lambda^sigma)) + 1, and
     the buckets are prefix-summed.
     """
-    if xmax < 0:
-        raise OutOfRange("xmax must be >= 0")
+    if xmax < 1:
+        raise OutOfRange("xmax must be >= 1")
     table = RepTable(field, xmax, xmax, memory_budget=memory_budget)
     buckets = np.zeros((2, xmax + 1), dtype=np.int64)  # the products counted once, twice
 
@@ -665,16 +649,14 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     starts = table.col_start.tolist()
 
     def bucket(k0: int, x: np.ndarray, w: int, skip: list[int]) -> None:
-        out, end = buckets[w - 1], k0 + len(x) - 1
-        for a in range(k0, end, _WALK_CELLS):
-            b = min(a + _WALK_CELLS, end)
-            p = x[a - k0:b - k0].astype(np.int64)
-            p *= x[a - k0 + 1:b - k0 + 1]
-            # a slice per column in the chunk, short of its last cell; none past the grid
-            for c in range(bisect_right(starts, a) - 1, bisect_left(starts, b)):
-                lo, hi = max(starts[c], a), min(starts[c + 1] - 1, b, xmax + 1 - shift[c])
-                if hi > lo:
-                    out[lo + shift[c]:hi + shift[c]] += p[lo - a:hi - a]
+        out = buckets[w - 1]
+        # a slice per column, short of its last cell; none past the grid
+        for c in range(bisect_left(starts, k0), bisect_left(starts, k0 + len(x))):
+            lo, hi = starts[c], min(starts[c + 1] - 1, xmax + 1 - shift[c])
+            if hi > lo:
+                p = x[lo - k0:hi - k0].astype(np.int64)
+                p *= x[lo - k0 + 1:hi - k0 + 1]
+                out[lo + shift[c]:hi + shift[c]] += p
         for k in skip:  # the axis cells' products leave their buckets, if on the grid
             v = k0 + k + shift[bisect_right(starts, k0 + k) - 1]
             out[v:v + 1] -= x.item(k) * x.item(k + 1)

@@ -31,7 +31,6 @@ from quadcorr.corrsum import (
     _doubled,
     _max_j,
     _min_cells,
-    _min_j,
     make_bound,
 )
 from quadcorr.quadfield import RingClass, sign_quad
@@ -169,6 +168,15 @@ def test_symmetric_storage_equals_full(d):
         assert a == b, (d, v)
 
 
+def test_supplied_table_must_match_field_and_bounds():
+    f2, f3 = field_new(2), field_new(3)
+    assert correlation(f3, 10, 10).n_value == 484 != correlation(f2, 10, 10).n_value
+    with pytest.raises(OutOfRange, match="different field"):
+        correlation(f3, 10, 10, table=RepTable(f2, 10, 10))
+    with pytest.raises(OutOfRange, match="different bounds"):
+        correlation(f2, 10, 9, table=RepTable(f2, 10, 10))
+
+
 def test_symmetric_requires_equal_bounds():
     with pytest.raises(OutOfRange):
         RepTable(field_new(2), 3, 4, symmetric=True)
@@ -188,6 +196,13 @@ def test_grid_excluding_lambda_zero():
     grid_ex = correlation_grid(f2, 10, include_lambda_zero=False)
     shift = r_brute(f2, f2.zero()) * r_brute(f2, f2.one())
     assert ((grid_in[1:] - grid_ex[1:]) == shift).all()
+
+
+@pytest.mark.parametrize("xmax", [0, -1])
+def test_grid_and_f_refuse_xmax_below_one(xmax):
+    for run in (correlation_grid, f_deviation):
+        with pytest.raises(OutOfRange, match="xmax must be >= 1"):
+            run(field_new(2), xmax)
 
 
 def test_f_deviation_small_values():
@@ -350,7 +365,7 @@ def _check_edges(d, k, bound, rows):
 
     shifted = rows - k * sigma
     for i, hi, lo in zip(rows.tolist(), _max_j(bound, shifted, sigma).tolist(),
-                         _min_j(bound, shifted, sigma).tolist()):
+                         (-_max_j(bound, shifted, sigma)).tolist()):
         assert ok(i, hi) and not ok(i, hi + 1), (i, hi)
         assert ok(i, -lo) and not ok(i, -(lo - 1)), (i, lo)
 
@@ -418,7 +433,7 @@ def test_cell_overflow_guard(monkeypatch):
     field = field_new(2)
     table = RepTable(field, 60, 60)
     n_pts = len(table._square_points()[0])
-    assert int(table.flat.max()) <= 8 * n_pts
+    assert int(table._cells().max()) <= 8 * n_pts
     monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts)
     RepTable(field, 60, 60)
     monkeypatch.setattr(corrsum, "_CELL_LIMIT", 8 * n_pts - 1)
@@ -444,9 +459,9 @@ def test_cell_width_follows_the_proven_bound(d, symmetric, data):
         v1, v2 = data.draw(_box_bound(d)), data.draw(_box_bound(d))
     table = RepTable(field, v1, v2, symmetric=symmetric)
     m = _narrow_points(table)
-    assert int(table.flat.max()) <= 8 * m
+    assert int(table._cells().max()) <= 8 * m
     narrow = 8 * m <= corrsum._NARROW_CELL_LIMIT
-    assert table.flat.dtype == (np.uint16 if narrow else np.int32)
+    assert table._cells().dtype == (np.uint16 if narrow else np.int32)
 
 
 def test_narrow_cell_limit_picks_the_width(monkeypatch):
@@ -457,8 +472,8 @@ def test_narrow_cell_limit_picks_the_width(monkeypatch):
     for limit, dtype in ((8 * m, np.uint16), (8 * m - 1, np.int32)):
         monkeypatch.setattr(corrsum, "_NARROW_CELL_LIMIT", limit)
         table = RepTable(field, 60, 60)
-        assert table.flat.dtype == dtype
-        built[dtype] = (table.flat, correlation(field, 60, 60, table=table).n_value,
+        assert table._cells().dtype == dtype
+        built[dtype] = (table._cells(), correlation(field, 60, 60, table=table).n_value,
                         correlation_grid(field, 60))
     (flat_a, n_a, grid_a), (flat_b, n_b, grid_b) = built.values()
     assert (flat_a == flat_b).all() and n_a == n_b and (grid_a == grid_b).all()
@@ -536,7 +551,7 @@ def test_build_matches_reference_accumulation(d, symmetric, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
     table = RepTable(field, v1, v2, symmetric=symmetric)
-    assert (table.flat == _reference_flat(table)).all()
+    assert (table._cells() == _reference_flat(table)).all()
 
 
 @pytest.mark.parametrize("d", RING_DS)
@@ -569,7 +584,7 @@ def _window_cells(table):
     rows = np.arange(table.imax + 1, dtype=np.int64)
     top = corrsum._floor_div_sqrt(rows, 1, table.field.d)
     hi = np.minimum(top, _max_j(table.v1, rows - sigma, sigma))
-    lo = np.maximum(-top, _min_j(table.v2, rows - sigma, sigma))
+    lo = np.maximum(-top, -_max_j(table.v2, rows - sigma, sigma))
     return [(i, j) for i in rows.tolist() for j in range(int(lo[i]), int(hi[i]) + 1)]
 
 
@@ -597,19 +612,26 @@ def test_grid_matches_pointwise_on_every_ring_class(d, xmax, include_zero):
         assert grid[v] == res.n_value, (d, v)
 
 
+def _walked_as(f):
+    """A patch of RepTable._build under which each band reaches the walk as
+    f(band), the cells a table of other values would hand it."""
+    build = RepTable._build
+
+    def patched(table, walk=None):
+        build(table, walk and (lambda k0, cells: walk(k0, f(cells))))
+
+    return mock.patch.object(RepTable, "_build", patched)
+
+
 def test_grid_exact_past_float_precision():
     # scaling every cell by an odd c multiplies every product by c^2; the
     # products then reach about 2^60, where float64 sums drop low bits
     field = field_new(5)
     plain = correlation_grid(field, 20)
     c = 2**25 + 1
-    assert int(RepTable(field, 20, 20).flat.max()) * c < 2**31 and int(plain[-1]) * c * c < 2**63
-    build = RepTable._build
-
-    def scaled(table, walk):  # each band handed to the walk at a wide table's scale
-        build(table, lambda k0, cells: walk(k0, cells.astype(np.int32) * c))
-
-    with mock.patch.object(RepTable, "_build", scaled):
+    assert int(RepTable(field, 20, 20)._cells().max()) * c < 2**31
+    assert int(plain[-1]) * c * c < 2**63
+    with _walked_as(lambda cells: cells.astype(np.int32) * c):  # a wide table's scale
         assert (correlation_grid(field, 20) == plain * (c * c)).all()
 
 
@@ -618,7 +640,7 @@ def _read_cells(table, i, j):
     a symmetric table answers a negative j from its mirror cell."""
     stored, k = table._locate(i, np.abs(j) if table.symmetric else j)
     assert stored.all()
-    return table.flat[k].astype(np.int64)
+    return table._cells()[k].astype(np.int64)
 
 
 def _reference_correlation(table, include_lambda_zero):
@@ -631,7 +653,7 @@ def _reference_correlation(table, include_lambda_zero):
     rows = np.arange(table.imax + 1, dtype=np.int64)
     top = corrsum._floor_div_sqrt(rows, 1, table.field.d)
     hi = np.minimum(top, _max_j(table.v1, rows, sigma)).astype(np.int64)
-    lo = np.maximum(-top, _min_j(table.v2, rows, sigma)).astype(np.int64)
+    lo = np.maximum(-top, -_max_j(table.v2, rows, sigma)).astype(np.int64)
     for i in rows.tolist():
         p, q = _doubled(i, int(hi[i]), sigma)
         hi[i] -= not table.v1.allows(p, q, True)
@@ -667,11 +689,10 @@ def test_correlation_exact_past_int64():
     # with every nonzero cell at 2^31 - 1 each product is about 2^62 (2^63
     # doubled), so the products of one band sum far past 2^63
     field = field_new(2)
-    table = RepTable(field, 40, 40)
-    table.flat = (table.flat > 0).astype(np.int32)  # a wide table's cells
-    ones = correlation(field, 40, 40, table=table).n_value
-    table.flat *= 2**31 - 1
-    big = correlation(field, 40, 40, table=table).n_value
+    with _walked_as(lambda cells: (cells > 0).astype(np.int32)):  # a wide table's cells
+        ones = correlation(field, 40, 40).n_value
+    with _walked_as(lambda cells: (cells > 0).astype(np.int32) * (2**31 - 1)):
+        big = correlation(field, 40, 40).n_value
     assert ones > 2 and big == ones * (2**31 - 1) ** 2
 
 
@@ -684,12 +705,11 @@ def test_walk_exact_at_the_largest_cells(d):
     holds lambda = 0 and the edge cell of the integer bounds."""
     field = field_new(d)
     for v1, v2, include_zero in ((12, 12, True), (12, 7, False), (Fraction(23, 2), 9, True)):
-        table = RepTable(field, v1, v2)
-        table.flat = np.ones(table.cells, dtype=np.int32)
-        ones = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero).n_value
-        table.flat *= 2**31 - 1
-        big = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero).n_value
-        assert ones > 2 and big == ones * (2**31 - 1) ** 2, (v1, v2)
+        n = {}
+        for c in (1, 2**31 - 1):
+            with _walked_as(lambda cells: np.full(len(cells), c, dtype=np.int32)):
+                n[c] = correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+        assert n[1] > 2 and n[2**31 - 1] == n[1] * (2**31 - 1) ** 2, (v1, v2)
 
 
 @given(st.sampled_from(RING_DS), st.booleans(), st.booleans(), st.sampled_from([1, 7]),
@@ -730,12 +750,14 @@ def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, wa
             mock.patch.object(corrsum, "_WALK_CELLS", walk):
         streamed = RepTable(field, v1, v2, symmetric=symmetric)
         n = correlation(field, v1, v2, table=streamed, include_lambda_zero=include_zero).n_value
+        # the walk held one band: at most `band` cells, or one column; a read after
+        # it builds the whole table
+        assert len(streamed.flat) <= max(band, int(np.diff(streamed.col_start).max()))
+        assert (streamed._cells() == _reference_flat(streamed)).all()
         read = RepTable(field, v1, v2, symmetric=symmetric)
-        assert (read.flat == _reference_flat(read)).all()
+        assert (read._cells() == _reference_flat(read)).all()
         walked = correlation(field, v1, v2, table=read, include_lambda_zero=include_zero).n_value
         grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
-    # the walk held one band: at most `band` cells, or one column
-    assert len(streamed.flat) <= max(band, int(np.diff(streamed.col_start).max()))
     assert n == walked == correlation(field, v1, v2, table=read,
                                       include_lambda_zero=include_zero).n_value
     assert n == _reference_correlation(read, include_zero)
