@@ -10,7 +10,8 @@ rational forms, large denominators, whose row edges take an inexact
 bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
 table and axis cells for the product walk, a full and a symmetric table's
 `--dump-table`, and refusals of a missing CSV form, a nonpositive bound and
-a box that one route's guard refuses after the other's passes. Each
+a box that one route's guard refuses after the other's passes; covolumes
+whose L(2, chi) sums wrap past Delta, and long chi listings. Each
 checkout runs them all through `quadcorr.cli.main` in its own process,
 with its own `src` on the path; a `--dump-table` file is read back and its
 SHA-256 added to the stdout. The script prints each argv whose exit code or
@@ -68,6 +69,14 @@ EXTRA = [
     ["correlate", "--d", "2", "--v1", "20000", "--v2", "20000"],
     ["correlate", "--d", "13", "--v1", "4000", "--v2", "2500", "--exclude-lambda-zero"],
     ["table-f", "--d", "5", "--xmax", "3000", "--exclude-lambda-zero", "--format", "csv"],
+    # L(2, chi): a period shorter than a summation block, a block wrapping past
+    # Delta with a partial last chunk, and one term past the first chunk
+    ["volume", "--d", "5", "--format", "json"],
+    ["volume", "--d", "1000001", "--terms", "3000017", "--format", "json"],
+    ["volume", "--d", "2", "--terms", "1048577"],
+    # chi tables of an even d and a d = 3 (mod 4), each with several odd primes
+    ["chi", "--d", "4000070", "--limit", "300000", "--format", "csv"],
+    ["chi", "--d", "4000035", "--limit", "300000", "--format", "json"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

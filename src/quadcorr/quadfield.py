@@ -33,10 +33,12 @@ from .errors import (
     count_text,
 )
 
-# Building the chi table peaks at 19 bytes per residue under tracemalloc (the
-# int64 index and its remainder, three int8 tables; d = 9999973, a prime with
-# Delta = d), so this is the largest Delta whose build stays under corrsum's
-# default 2 GiB memory budget.
+# Building the chi table peaks at 2.7 bytes per residue under tracemalloc at
+# d = 9999973 and at 2.0 at d = 99999989, primes with Delta = d: the table, the
+# Legendre table of d and a chunk of 2^20 int64 squares. MAX_DELTA keeps the
+# value it took when the build peaked at 19 bytes per residue, the largest
+# Delta whose build then stayed under corrsum's default 2 GiB memory budget, so
+# that no field's refusal moves.
 MAX_DELTA = (2 << 30) // 19
 # field_new keeps the fields whose chi tables fit in one table at the limit
 # together, so a walk over many large fields holds one such table, not dozens
@@ -91,7 +93,12 @@ def _legendre_table(p: int) -> np.ndarray:
     """(n/p) for the odd prime p, indexed by n mod p."""
     tbl = np.full(p, -1, dtype=np.int8)
     tbl[0] = 0
-    tbl[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+    half = (p + 1) // 2  # k and p - k have one square: mark those of k < p/2
+    for lo in range(1, half, 1 << 20):
+        k = np.arange(lo, min(lo + (1 << 20), half), dtype=np.int64)
+        k *= k
+        k %= p
+        tbl[k] = 1
     return tbl
 
 
@@ -108,10 +115,10 @@ def chi_table(d: int, delta: int, prime_divisors: list[int]) -> np.ndarray:
                               else [0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8))
     elif d % 4 == 3:  # -4, by n mod 4
         parts.append(np.array([0, 1, 0, -1], dtype=np.int8))
-    idx = np.arange(delta, dtype=np.int64)
     tbl = np.ones(delta, dtype=np.int8)
-    for part in parts:
-        tbl *= part[idx % len(part)]
+    for part in parts:  # its period divides Delta: one row of tbl per period
+        rows = tbl.reshape(-1, len(part))
+        rows *= part
     return tbl
 
 

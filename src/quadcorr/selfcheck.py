@@ -23,7 +23,7 @@ from .repcount import r_brute, r_sym
 
 
 # Most chi-table entries the battery's field loop builds: the fields d <= dmax
-# have Delta <= 4 d, at most 2 dmax (dmax + 1) entries in all; about 3.5 s at
+# have Delta <= 4 d, at most 2 dmax (dmax + 1) entries in all; about 1.8 s at
 # the limit, dmax = 11179 (2-vCPU Xeon).
 VERIFY_CHI_LIMIT = 250_000_000
 # Largest box, corr_limit and samples: the battery takes about 5, 3.5 and 4 s

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,43 @@ def test_l_value_identity_for_many_fields():
         value, bound = l_value_2(field, 500_000)
         target = math.pi**2 * field.delta ** (-2.5) * s2
         assert abs(value - target) <= bound + 1e-11, d
+
+
+def _reference_l_value_2(field, terms):
+    """L(2, chi) by a direct gather: an int64 n and n % Delta per 2^20-term
+    chunk, whose quotients are one np.sum."""
+    chi = field.chi_values
+    total = 0.0
+    chunk = 1 << 20
+    for lo in range(1, terms + 1, chunk):
+        hi = min(lo + chunk, terms + 1)
+        n = np.arange(lo, hi, dtype=np.int64)
+        c = chi[n % field.delta].astype(np.float64)
+        total += float(np.sum(c / (n.astype(np.float64) ** 2)))
+    return total, field.delta / terms**2 + 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 5, 13, 1000001])
+def test_l_value_matches_reference_bit_for_bit(d):
+    # Delta = 8, 5 and 13 are shorter than a 2^16-term block; Delta = 1,000,001
+    # has a block wrapping past it, and 3,000,017 terms end in a partial chunk
+    field = field_new(d)
+    for terms in (field.delta, field.delta + 1, 1 << 20, (1 << 20) + 1, 3_000_017):
+        assert l_value_2(field, terms) == _reference_l_value_2(field, terms), (d, terms)
+
+
+@pytest.mark.parametrize("d", [5, 9999973])
+def test_l_value_working_set(d):
+    # the reference peaks at 30.5 MiB at d = 5: int64 and float64 temporaries
+    # per chunk; at Delta = 9,999,973 a copy of the chi table would pass the bound
+    field = field_new(d)
+    tracemalloc.start()
+    try:
+        l_value_2(field, max(field.delta, 3_000_017))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 << 20, (d, peak)
 
 
 def test_l_value_requires_full_period():

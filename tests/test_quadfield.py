@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import OrderedDict
 from fractions import Fraction
 from math import isqrt
@@ -16,7 +17,7 @@ from quadcorr import (
     field_new,
 )
 from quadcorr import quadfield
-from quadcorr.quadfield import check_squarefree
+from quadcorr.quadfield import check_squarefree, chi_table
 
 
 def make_elem(field, p, q):
@@ -90,6 +91,71 @@ def test_trial_division_matches_sieve(d):
             check_squarefree(d)
     else:
         assert check_squarefree(d) == want
+
+
+def _reference_chi_table(d, delta, prime_divisors):
+    """The chi table by direct indexing: each Legendre table from the squares
+    of all of 1..p-1, each part gathered by an int64 n % period over Delta."""
+    parts = []
+    for p in prime_divisors:
+        if p != 2:
+            legendre = np.full(p, -1, dtype=np.int8)
+            legendre[0] = 0
+            legendre[np.arange(1, p, dtype=np.int64) ** 2 % p] = 1
+            parts.append(legendre)
+    if d % 2 == 0:
+        parts.append(np.array([0, 1, 0, -1, 0, -1, 0, 1] if d // 2 % 4 == 1
+                              else [0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8))
+    elif d % 4 == 3:
+        parts.append(np.array([0, 1, 0, -1], dtype=np.int8))
+    idx = np.arange(delta, dtype=np.int64)
+    tbl = np.ones(delta, dtype=np.int8)
+    for part in parts:
+        tbl *= part[idx % len(part)]
+    return tbl
+
+
+def _assert_chi_table_matches_reference(d):
+    primes = check_squarefree(d)
+    delta = d if d % 4 == 1 else 4 * d
+    got = chi_table(d, delta, primes)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, _reference_chi_table(d, delta, primes)), d
+
+
+def test_chi_table_matches_reference_below_2000():
+    for d in range(2, 2000):
+        try:
+            _assert_chi_table_matches_reference(d)
+        except NotSquarefree:
+            pass
+
+
+# d = 4 m + r is 1 or 3 (mod 4) for r = 1 or 3, and even for r = 2
+@given(st.integers(min_value=25_000, max_value=250_000), st.sampled_from([1, 2, 3]))
+@example(1_000_008, 3)  # 4000035 = 3 * 5 * 13 * 73 * 281
+@example(1_000_017, 2)  # 4000070 = 2 * 5 * 19 * 37 * 569
+@example(2_499_993, 1)  # 9999973, a prime
+@settings(max_examples=12, deadline=None)
+def test_chi_table_matches_reference_on_large_fields(m, r):
+    try:
+        _assert_chi_table_matches_reference(4 * m + r)
+    except NotSquarefree:
+        pass
+
+
+def test_chi_table_working_set():
+    # a prime d = 1 (mod 4), so Delta = d and its Legendre table is Delta long;
+    # the reference peaks at 19 bytes per residue
+    d = 9999973
+    primes = check_squarefree(d)
+    tracemalloc.start()
+    try:
+        chi_table(d, d, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * d, peak
 
 
 def test_ring_op_examples():
