@@ -11,11 +11,13 @@ bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
 table and axis cells for the product walk, a full and a symmetric table's
 `--dump-table`, and refusals of a missing CSV form, a nonpositive bound and
 a box that one route's guard refuses after the other's passes; covolumes
-whose L(2, chi) sums wrap past Delta, and long chi listings. Each
-checkout runs them all through `quadcorr.cli.main` in its own process,
-with its own `src` on the path; a `--dump-table` file is read back and its
-SHA-256 added to the stdout. The script prints each argv whose exit code or
-stdout differ, and exits 1 if any do.
+whose L(2, chi) sums wrap past Delta, long chi listings and a prime-Delta chi
+table; representation counts on the axis of each ring class, the coset sets
+of d = 2 and 3 (mod 4), thin boxes and F at x = 1. Each checkout runs them
+all through `quadcorr.cli.main` in its own process, with its own `src` on the
+path; a `--dump-table` file is read back and its SHA-256 added to the stdout.
+The script prints each argv whose exit code or stdout differ, and exits 1 if
+any do.
 """
 
 from __future__ import annotations
@@ -77,6 +79,17 @@ EXTRA = [
     # chi tables of an even d and a d = 3 (mod 4), each with several odd primes
     ["chi", "--d", "4000070", "--limit", "300000", "--format", "csv"],
     ["chi", "--d", "4000035", "--limit", "300000", "--format", "json"],
+    # r_brute and r_sym on the axis of each ring class, eta of both classes d != 1 (mod 4)
+    ["rcount", "--d", "2", "--x", "8"],
+    ["rcount", "--d", "3", "--x", "12"],
+    ["rcount", "--d", "5", "--x", "5"],
+    ["rcount", "--d", "6", "--x", "6"],
+    ["cosets", "--d", "3", "--format", "json"],
+    ["cosets", "--d", "6", "--format", "json"],
+    # inverse-square-root edges with fix-ups, F's strict value at x = 1, a prime-Delta chi
+    ["table-g", "--d", "13", "--v", "3000", "7777", "--format", "json"],
+    ["table-f", "--d", "5", "--xmax", "3000", "--checkpoints", "1", "2", "3000"],
+    ["constant", "--d", "29999989"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

@@ -105,7 +105,7 @@ class RationalBound:
 class InvSqrtBound:
     """The bound v**(-1/2) for a positive rational v, kept exact by squaring."""
 
-    __slots__ = ("d", "v")
+    __slots__ = ("d", "v", "_twice")
 
     def __init__(self, d: int, v: Fraction):
         v = Fraction(v)
@@ -113,19 +113,13 @@ class InvSqrtBound:
             raise OutOfRange("inverse-square-root bound needs v > 0")
         self.d = d
         self.v = v
+        self._twice = RationalBound(d, 2 / v)
 
     def allows(self, p: int, q: int, strict: bool) -> bool:
-        s_lam = sign_quad(p, q, self.d)
-        if s_lam < 0:
-            return True
-        if s_lam == 0:
-            return True  # bound is strictly positive
-        # lambda > 0: compare lambda^2 * v against 1 exactly
-        nv, dv = self.v.numerator, self.v.denominator
-        a = (p * p + self.d * q * q) * nv - 4 * dv
-        b = 2 * p * q * nv
-        s = sign_quad(a, b, self.d)
-        return s < 0 if strict else s <= 0
+        # lambda <= v^(-1/2) iff lambda <= 0 or 2 lambda^2 <= 2/v, and 2 lambda^2 has
+        # the doubled coordinates (p^2 + d q^2, 2 p q), p^2 + d q^2 odd on mixed rows
+        return (sign_quad(p, q, self.d) <= 0
+                or self._twice.allows(p * p + self.d * q * q, 2 * p * q, strict))
 
     def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
         nv, dv = self.v.numerator, self.v.denominator
@@ -323,10 +317,8 @@ class RepTable:
         mx = _max_j(self.v1, i - sigma, sigma)
         mn = -_max_j(self.v2, i - sigma, sigma)  # the smallest j with v2 + 1 >= lambda^sigma
         hi, lo = np.minimum(top, mx), np.maximum(-top, mn)
-        filled = np.flatnonzero(hi >= lo)
-        if not len(filled):
-            raise OutOfRange("empty window")
-        self.imax = int(filled[-1])
+        # row 0 holds lambda = 0, as both bounds are positive: mx[0] >= 0 >= mn[0]
+        self.imax = int(np.flatnonzero(hi >= lo)[-1])
         n = self.imax + 1
         # row i holds max(-top, mn) <= j <= min(top, mx), and top and mn rise while mx
         # falls: column j runs from the first row with top >= |j| to the last with
@@ -482,9 +474,7 @@ class RepTable:
         p, q = lam.p, lam.q
         if self.sigma == 2:
             return self.lookup(p, q)
-        if p % 2 or q % 2:
-            raise OutOfRange("non-integral coordinates")
-        return self.lookup(p // 2, q // 2)
+        return self.lookup(p // 2, q // 2)  # QuadInt keeps p and q even when sigma = 1
 
     def write_csv(self, stream) -> None:
         """Full window as CSV: metadata line, header, one row per cell in
@@ -538,22 +528,23 @@ def _walk(table: RepTable, axis: list[int], visit) -> None:
     band, x the cells k0, k0 + 1, ... of whole columns: the product of x[k] is
     x[k] x[k + 1], lambda + 1 being the next cell of the column, and counts w times,
     but not at a column's last cell (x[-1] is one), whose lambda + 1 is outside the
-    window, nor at the positions skip of the cells (i, 0) of the rows i in axis. A
-    symmetric table's cells with j > 0 stand for their mirrors -j too: from col_start[1]
-    on, after the column j = 0, w = 2. The bands are _build's, handed on as it makes
-    them, also when the whole table was built before."""
+    window, nor at the positions skip, an int64 array, of the cells (i, 0) of the
+    distinct rows i in axis. A symmetric table's cells with j > 0 stand for their
+    mirrors -j too: from col_start[1] on, after the column j = 0, w = 2. The bands are
+    _build's, handed on as it makes them, also when the whole table was built before."""
     start, sigma = table.col_start, table.sigma
     c0 = -table.j0 >> (2 - sigma)  # the column j = 0, whose row 0 is lambda = 0
     zero, last = int(start[c0]), int(start[c0 + 1]) - 1
     # j = 0 needs i = j (mod sigma); the column's last cell has no product to leave out
-    skip = {zero + i // sigma for i in axis if i % sigma == 0 and zero + i // sigma < last}
+    skip = np.array([k for i in axis if i % sigma == 0 and (k := zero + i // sigma) < last],
+                    dtype=np.int64)
     seam = int(start[1]) if table.symmetric else 0
 
     def band(k0: int, cells: np.ndarray) -> None:
         k1 = k0 + len(cells)
         for a, b, w in ((k0, min(k1, seam), 1), (max(k0, seam), k1, 1 + table.symmetric)):
             if b > a:
-                visit(a, cells[a - k0:b - k0], w, [k - a for k in skip if a <= k < b])
+                visit(a, cells[a - k0:b - k0], w, skip[(a <= skip) & (skip < b)] - a)
 
     table._build(band)
 
@@ -588,7 +579,7 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
     ends = table.col_start[1:][table.ihi >= table.i0] - 1  # each nonempty column's last cell
     total = 0
 
-    def add(k0: int, x: np.ndarray, w: int, skip: list[int]) -> None:
+    def add(k0: int, x: np.ndarray, w: int, skip: np.ndarray) -> None:
         nonlocal total
         # n products a dot, each at most m^2 for the largest cell m, keep every int64
         # partial sum within n m^2 < 2^63, so no dot wraps; a uint16 cell allows _WALK_CELLS
@@ -598,12 +589,12 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         for a in range(0, len(x) - 1, n):
             y = x[a:a + n + 1].astype(np.int64)
             s += int(np.dot(y[:-1], y[1:]))
-        # less the products at the column ends, one gathered dot, and at the axis cells
-        e = ends[ends.searchsorted(k0):ends.searchsorted(k0 + len(x) - 1)] - k0
+        # less the products at the column ends and at the axis cells, one gathered dot
+        e = np.append(ends[ends.searchsorted(k0):ends.searchsorted(k0 + len(x) - 1)] - k0, skip)
         y, z = x.take(e).astype(np.int64), x[1:].take(e)
         for a in range(0, len(e), n):
             s -= int(np.dot(y[a:a + n], z[a:a + n]))
-        total += w * (s - sum(x.item(k) * x.item(k + 1) for k in skip))
+        total += w * s
 
     _walk(table, axis, add)
     c = c_constant(field)
@@ -648,7 +639,7 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
     starts = table.col_start.tolist()
 
-    def bucket(k0: int, x: np.ndarray, w: int, skip: list[int]) -> None:
+    def bucket(k0: int, x: np.ndarray, w: int, skip: np.ndarray) -> None:
         out = buckets[w - 1]
         # a slice per column, short of its last cell; none past the grid
         for c in range(bisect_left(starts, k0), bisect_left(starts, k0 + len(x))):
@@ -696,10 +687,9 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
         running[v] = max(running[v - 1], abs(int(grid[v]) * den - num * v * v))
     out = []
     for cpt in sorted(set(checkpoints)):
-        strict = running[cpt - 1] if cpt >= 2 else 0
         out.append(FCheckpoint(
             x=cpt,
-            f_strict=Fraction(strict, den),
+            f_strict=Fraction(running[cpt - 1], den),  # running[0] = 0
             f_inclusive=Fraction(running[cpt], den),
         ))
     return out

@@ -227,14 +227,6 @@ def u_numeric(m: MatO) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _eta(field: FieldData) -> QuadInt:
-    if field.d % 4 == 3:
-        return field.from_xy(1, 1)
-    if field.d % 4 == 2:
-        return field.sqrt_d()
-    raise WrongCongruenceClass("eta is only defined for d != 1 (mod 4)")
-
-
 def representatives(field: FieldData) -> list[MatO]:
     """The complete left-coset representative set for Gamma in the full
     group: 6 matrices when 4 does not divide d-1, 9 when 8 | d-1, and 15
@@ -244,8 +236,8 @@ def representatives(field: FieldData) -> list[MatO]:
     t = MatO.translation
     one = field.one()
 
-    if field.d % 4 != 1:
-        eta = _eta(field)
+    if field.d % 4 != 1:  # squarefree, so d = 2 or 3 (mod 4)
+        eta = field.from_xy(1, 1) if field.d % 4 == 3 else field.sqrt_d()
         return [
             ident,
             t(one),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from enum import Enum
+from functools import total_ordering
 from fractions import Fraction
 from math import isqrt, sqrt
 
@@ -33,12 +34,13 @@ from .errors import (
     count_text,
 )
 
-# Building the chi table peaks at 2.7 bytes per residue under tracemalloc at
-# d = 9999973 and at 2.0 at d = 99999989, primes with Delta = d: the table, the
-# Legendre table of d and a chunk of 2^20 int64 squares. MAX_DELTA keeps the
-# value it took when the build peaked at 19 bytes per residue, the largest
-# Delta whose build then stayed under corrsum's default 2 GiB memory budget, so
-# that no field's refusal moves.
+# Building the chi table peaks under tracemalloc at 2.7 bytes per residue at
+# d = 9999973, 1.56 at d = 29999989 and 1.17 at d = 99999989, primes with
+# Delta = d: the Legendre table of d, which is the chi table itself, and the
+# int64 squares of a chunk of 2^20 residues. MAX_DELTA keeps the value it took
+# when the build peaked at 19 bytes per residue, the largest Delta whose build
+# then stayed under corrsum's default 2 GiB memory budget, so that no field's
+# refusal moves.
 MAX_DELTA = (2 << 30) // 19
 # field_new keeps the fields whose chi tables fit in one table at the limit
 # together, so a walk over many large fields holds one such table, not dozens
@@ -115,8 +117,11 @@ def chi_table(d: int, delta: int, prime_divisors: list[int]) -> np.ndarray:
                               else [0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int8))
     elif d % 4 == 3:  # -4, by n mod 4
         parts.append(np.array([0, 1, 0, -1], dtype=np.int8))
-    tbl = np.ones(delta, dtype=np.int8)
-    for part in parts:  # its period divides Delta: one row of tbl per period
+    # d > 1 has an odd prime divisor or is even, so there is a first part; a Delta-long
+    # one (prime Delta) is the table itself
+    first = parts[0]
+    tbl = first if len(first) == delta else np.tile(first, delta // len(first))
+    for part in parts[1:]:  # its period divides Delta: one row of tbl per period
         rows = tbl.reshape(-1, len(part))
         rows *= part
     return tbl
@@ -223,8 +228,10 @@ def field_new(d: int) -> FieldData:
     return field
 
 
+@total_ordering
 class QuadInt:
-    """An element (p + q*sqrt(d))/2 of the ring of integers, immutable."""
+    """An element (p + q*sqrt(d))/2 of the ring of integers, immutable; ordered
+    by its first embedding lambda, <=, > and >= derived from < and ==."""
 
     __slots__ = ("field", "p", "q")
 
@@ -349,15 +356,6 @@ class QuadInt:
 
     def __lt__(self, other: QuadInt | int) -> bool:
         return (self - other).sign() < 0
-
-    def __le__(self, other: QuadInt | int) -> bool:
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other: QuadInt | int) -> bool:
-        return (self - other).sign() > 0
-
-    def __ge__(self, other: QuadInt | int) -> bool:
-        return (self - other).sign() >= 0
 
     # divisibility
 

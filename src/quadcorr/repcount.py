@@ -49,9 +49,8 @@ def _solutions_doubled(field: FieldData, lam: QuadInt) -> list[tuple[int, int, i
     S = 2 * lam.p
     Q = lam.q
     out: list[tuple[int, int, int, int]] = []
-    amax = isqrt(S)
-    a_values = range(-amax, amax + 1) if one_mod_four else _signed_range(amax, 0)
-    for A in a_values:
+    amax, step = isqrt(S), 1 if one_mod_four else 2
+    for A in range(amax % step - amax, amax + 1, step):
         SA = S - A * A
         # B = A (mod 2): A is even unless half coordinates exist
         for B in _signed_range(isqrt(SA // d), A & 1):
@@ -127,7 +126,8 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
     if not _totally_nonnegative(lam):
         return 0
     d = field.d
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    # A and C run over one parity class: all integers with half coordinates, else even
+    step = 1 if field.ring_class is RingClass.ONE_MOD_FOUR else 2
     S = 2 * lam.p
     Q = lam.q
 
@@ -137,12 +137,9 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
     amax = isqrt(S)
 
     # M1: 0 < C < A, B free, E solved from the sqrt(d) component.
-    for A in range(amax, 0, -1):
-        if not one and A % 2 != 0:
-            continue
+    for A in range(step, amax + 1, step):
         SA = S - A * A
-        c_step = 1 if one else 2
-        for C in range(c_step, A, c_step):
+        for C in range(step, A, step):
             SAC = SA - C * C
             if SAC < 0:
                 break
@@ -155,9 +152,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
                         m1 += 1
 
     # M2: C = 0 < A, E > 0; B is forced by A B = Q.
-    for A in range(1, amax + 1):
-        if not one and A % 2 != 0:
-            continue
+    for A in range(step, amax + 1, step):
         if Q % A != 0:
             continue
         B = Q // A
@@ -173,9 +168,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
 
     # M3: 0 < C = A, E < B; B + E and B^2 + E^2 are both forced.
     a_top = isqrt(S // 2)
-    for A in range(1, a_top + 1):
-        if not one and A % 2 != 0:
-            continue
+    for A in range(step, a_top + 1, step):
         if Q % A != 0:
             continue
         total = Q // A  # B + E
@@ -206,9 +199,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
             E += 2
 
     # M1*: A = B = 0, i.e. eta^2 = lam, all sign combinations.
-    cmax = isqrt(S)
-    c_vals = range(-cmax, cmax + 1) if one else _signed_range(cmax, 0)
-    for C in c_vals:
+    for C in range(amax % step - amax, amax + 1, step):
         rem = S - C * C
         if C != 0:
             if Q % C == 0:
@@ -216,22 +207,20 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
                 if d * E * E == rem and _parity_ok(E, C):
                     m1s += 1
         else:
+            # rem = S > 0 here, as lam = 0 was answered first
             if Q != 0:
                 continue
-            if rem == 0:
-                m1s += 1
-            elif rem % d == 0:
+            if rem % d == 0:
                 e2 = rem // d
                 e = isqrt(e2)
                 if e * e == e2 and e % 2 == 0:
                     m1s += 2
 
     # M2*: A = C, B = E, i.e. lam = 2 xi^2.
-    pa = lam.p
+    pa = lam.p  # lam + lam^sigma = p >= 0, as lam is totally nonnegative
     if Q % 2 == 0:
-        amax2 = isqrt(pa) if pa >= 0 else -1
-        a_vals2 = range(-amax2, amax2 + 1) if one else _signed_range(amax2, 0)
-        for A in a_vals2:
+        amax2 = isqrt(pa)
+        for A in range(amax2 % step - amax2, amax2 + 1, step):
             if A != 0:
                 if (Q // 2) % A != 0:
                     continue

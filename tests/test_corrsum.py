@@ -250,6 +250,48 @@ def test_invsqrt_bound_matches_float():
                 assert bound.allows(lam.p, lam.q, True) == (approx < edge), (i, j)
 
 
+def _inv_sqrt_allows_squared(d, v, p, q, strict):
+    """InvSqrtBound.allows as it compared lambda^2 v against 1 in one sign test,
+    before it went through a RationalBound at 2/v."""
+    s_lam = sign_quad(p, q, d)
+    if s_lam < 0:
+        return True
+    if s_lam == 0:
+        return True  # bound is strictly positive
+    # lambda > 0: compare lambda^2 * v against 1 exactly
+    nv, dv = v.numerator, v.denominator
+    a = (p * p + d * q * q) * nv - 4 * dv
+    b = 2 * p * q * nv
+    s = sign_quad(a, b, d)
+    return s < 0 if strict else s <= 0
+
+
+def _p_near_inv_sqrt(d, v, q, k):
+    """The p of row q whose (p + q sqrt d)/2 lies about k/2 from v^(-1/2)."""
+    scale = 10**40
+    two_root = isqrt(4 * v.denominator * scale * scale // v.numerator)  # 2 v^(-1/2), scaled
+    return (two_root - q * isqrt(d * scale * scale)) // scale + k
+
+
+_big = st.integers(1, 10**30)
+
+
+@given(st.sampled_from(RING_DS), _big, _big, st.integers(-10**6, 10**6), st.booleans(),
+       st.integers(-10**20, 10**20))
+@settings(max_examples=600, deadline=None)
+@example(2, 4, 49, 0, False, 7)  # lambda = 7/2 = v^(-1/2): allowed, not strictly
+@example(5, 4, 81, 0, False, 9)  # the same on a mixed row of sigma = 2
+@example(3, 1, 1, 0, False, 0)  # lambda = 0
+@example(13, 10**30, 1, 5, False, -20)  # lambda < 0
+@example(2, 1, 10**30, 3, True, 0)  # v^(-1/2) = 10^15
+def test_inv_sqrt_allows_matches_the_squared_comparison(d, num, den, q, near, k):
+    v = Fraction(num, den)
+    p = _p_near_inv_sqrt(d, v, q, k % 7 - 3) if near else k
+    bound = InvSqrtBound(d, v)
+    for strict in (False, True):
+        assert bound.allows(p, q, strict) == _inv_sqrt_allows_squared(d, v, p, q, strict)
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityExceeded):
         RepTable(field_new(2), 4000, 4000, memory_budget=10_000)

@@ -158,6 +158,22 @@ def test_chi_table_working_set():
     assert peak < 4 * d, peak
 
 
+def test_chi_table_of_a_prime_delta_is_its_legendre_table():
+    # Delta = d = 29999989 is prime, so its Legendre table is the chi table: the
+    # build holds one Delta-byte table beside its chunk of squares (1.56 bytes per
+    # residue), where multiplying it into a table of ones held two (2.0)
+    d = 29999989
+    primes = check_squarefree(d)
+    assert primes == [d] and d % 4 == 1
+    tracemalloc.start()
+    try:
+        chi_table(d, d, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * d, peak / d
+
+
 def test_ring_op_examples():
     f2 = field_new(2)
     assert f2.from_xy(1, 0) + f2.from_xy(0, 1) == f2.from_xy(1, 1)
@@ -295,6 +311,25 @@ def test_ordering_operators():
     assert f2.from_xy(1, 1) > f2.from_xy(2, 0)
     assert f2.from_xy(0, 1) < f2.from_xy(2, 0)
     assert f2.from_xy(1, 0) <= f2.from_xy(1, 0)
+
+
+@given(field_ds, small_ints, small_ints, small_ints, small_ints, st.booleans())
+@settings(max_examples=300, deadline=None)
+@example(2, 2, 2, 2, 2, False)  # 2 + 2 sqrt 2 against an equal element and against 2
+@example(5, 4, 0, 2, 0, False)  # 2 against 1 and against 2
+def test_ordering_matches_sign_of_difference(d, p1, q1, p2, q2, same):
+    field = field_new(d)
+    a = make_elem(field, p1, q1)
+    b = a if same else make_elem(field, p2, q2)
+    n = a.p // 2 if same and a.q == 0 and a.p % 2 == 0 else p2  # an equal int too
+    for other in (b, field.element(b.p, b.q), n):
+        s = (a - other).sign()
+        assert (a < other) == (s < 0) and (a <= other) == (s <= 0)
+        assert (a > other) == (s > 0) and (a >= other) == (s >= 0)
+        assert (a == other) == (s == 0) and (a != other) == (s != 0)
+        assert (other < a) == (s > 0) and (other <= a) == (s >= 0)
+        assert (other > a) == (s < 0) and (other >= a) == (s <= 0)
+        assert (other == a) == (s == 0) and (other != a) == (s != 0)
 
 
 def test_pow():
