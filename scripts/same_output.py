@@ -13,7 +13,8 @@ table and axis cells for the product walk, a full and a symmetric table's
 a box that one route's guard refuses after the other's passes; covolumes
 whose L(2, chi) sums wrap past Delta, long chi listings and a prime-Delta chi
 table; representation counts on the axis of each ring class, the coset sets
-of d = 2 and 3 (mod 4), thin boxes and F at x = 1. Each checkout runs them
+of d = 2 and 3 (mod 4), thin boxes, among them boxes that the strip route
+takes, and F at x = 1. Each checkout runs them
 all through `quadcorr.cli.main` in its own process, with its own `src` on the
 path; a `--dump-table` file is read back and its SHA-256 added to the stdout.
 The script prints each argv whose exit code or stdout differ, and exits 1 if
@@ -90,6 +91,12 @@ EXTRA = [
     ["table-g", "--d", "13", "--v", "3000", "7777", "--format", "json"],
     ["table-f", "--d", "5", "--xmax", "3000", "--checkpoints", "1", "2", "3000"],
     ["constant", "--d", "29999989"],
+    # thin and small boxes on the strip route
+    ["table-g", "--d", "2", "--v", "10000000"],
+    ["table-g", "--d", "5", "--v", "1000000", "4000000", "--format", "json"],
+    ["correlate", "--d", "17", "--v1", "23/2", "--v2", "7", "--exclude-lambda-zero",
+     "--format", "json"],
+    ["correlate", "--d", "3", "--v1", "1/2", "--v2", "40"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

@@ -180,11 +180,13 @@ def _cmd_correlate(args) -> int:
     include = not args.exclude_lambda_zero
     if args.oracle == "group":  # both routes' guards before either route's work
         oracle_guard(field, args.v1, args.v2)
-    table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
+    table = None
     if path:  # the whole table for the dump; the walk then builds it again band by band
+        table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
         with open(path, "w", encoding="utf-8") as fh:
             table.write_csv(fh)
-    res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include)
+    res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include,
+                      memory_budget=args.memory_budget)
     payload = res.to_json_dict()
     lines = [
         f"N_{args.d}({args.v1}, {args.v2}) = {res.n_value}",

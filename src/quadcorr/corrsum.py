@@ -1,6 +1,8 @@
 """Correlation sums over a box: the r-value accumulation table, the shifted
 correlation N_D(V1, V2) = sum r(lambda) r(lambda+1), its deviation diagnostics
-F and G, and a small-scale quadruple-enumeration oracle.
+F and G, and a small-scale quadruple-enumeration oracle. correlation takes N
+from the table or from the strip route of the strip module, whichever its cost
+estimates favour; F always comes from the table.
 
 Geometry and conventions
 ------------------------
@@ -43,7 +45,8 @@ import numpy as np
 
 from .character import c_constant
 from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
-from .quadfield import FieldData, QuadInt, RingClass, sign_quad
+from .quadfield import FieldData, QuadInt, RingClass, _isqrt, sign_quad
+from .strip import _strip, _strip_charge, _strip_estimate, _tally
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
@@ -73,7 +76,7 @@ _WALK_CELLS = 1 << 14
 class RationalBound:
     """An exact positive rational box bound."""
 
-    __slots__ = ("d", "value")
+    __slots__ = ("d", "value", "_num", "_den")
 
     def __init__(self, d: int, value: Fraction):
         value = Fraction(value)
@@ -81,19 +84,21 @@ class RationalBound:
             raise OutOfRange("box bounds must be positive")
         self.d = d
         self.value = value
+        # Fraction's numerator and denominator are properties, read on every test
+        self._num, self._den = value.numerator, value.denominator
 
     def allows(self, p: int, q: int, strict: bool) -> bool:
-        num, den = self.value.numerator, self.value.denominator
-        s = sign_quad(p * den - 2 * num, q * den, self.d)
+        den = self._den
+        s = sign_quad(p * den - 2 * self._num, q * den, self.d)
         return s < 0 if strict else s <= 0
 
     def bracket(self, sigma: int, scale: int) -> tuple[int, int, bool]:
         """(a, m, exact) with a/m <= sigma*bound < (a+1)/m, and a/m equal to
         sigma*bound when exact; scale is the wanted m of an inexact bracket."""
-        return sigma * self.value.numerator, self.value.denominator, True
+        return sigma * self._num, self._den, True
 
     def ceil(self) -> int:
-        return -(-self.value.numerator // self.value.denominator)
+        return -(-self._num // self._den)
 
     def __float__(self) -> float:
         return float(self.value)
@@ -158,14 +163,6 @@ _I64_ROOT = 1 << 31
 
 def _doubled(i: int, j: int, sigma: int) -> tuple[int, int]:
     return (i, j) if sigma == 2 else (2 * i, 2 * j)
-
-
-def _isqrt(x: np.ndarray) -> np.ndarray:
-    """floor(sqrt(x)) elementwise, for int64 x below 2^62."""
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)  # off by at most one
-    s -= s * s > x
-    s += (s + 1) * (s + 1) <= x
-    return s
 
 
 def _floor_div_sqrt(r: np.ndarray, m: int, d: int) -> np.ndarray:
@@ -240,6 +237,17 @@ def _min_cells(v1: Bound, v2: Bound, sigma: int, symmetric: bool) -> int:
     return full // 2 if symmetric else full
 
 
+def _equal_rationals(v1: Bound, v2: Bound) -> bool:
+    """Whether the box is (V, V) for a rational V, which a table stores by halves."""
+    return isinstance(v1, RationalBound) and isinstance(v2, RationalBound) and v1.value == v2.value
+
+
+def _row_cap(v1: Bound, v2: Bound, sigma: int) -> int:
+    """The last row a table of the box (v1, v2) may fill: 2i/sigma = lambda +
+    lambda^sigma <= v1 + v2 + 2."""
+    return sigma * (v1.ceil() + v2.ceil() + 2) // 2
+
+
 # ---------------------------------------------------------------------------
 # The accumulation table.
 # ---------------------------------------------------------------------------
@@ -269,20 +277,16 @@ class RepTable:
         self.v1 = make_bound(field, v1)
         self.v2 = make_bound(field, v2)
 
-        same = (
-            isinstance(self.v1, RationalBound)
-            and isinstance(self.v2, RationalBound)
-            and self.v1.value == self.v2.value
-        )
+        same = _equal_rationals(self.v1, self.v2)
         if symmetric is None:
             symmetric = same
         if symmetric and not same:
             raise OutOfRange("symmetric storage requires equal rational bounds")
         self.symmetric = symmetric
 
-        # bound the rows before any row array exists: 2i/sigma = lambda +
-        # lambda^sigma <= v1 + v2 + 2; _compute_rows trims it to the last filled row
-        self.imax = self.sigma * (self.v1.ceil() + self.v2.ceil() + 2) // 2
+        # bound the rows before any row array exists; _compute_rows trims it to the
+        # last filled row
+        self.imax = _row_cap(self.v1, self.v2, self.sigma)
         self.cells = 0
         budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
         self._check_budget(budget)
@@ -561,17 +565,34 @@ def _strict_row_range(table: RepTable) -> int | None:
 def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
                 include_lambda_zero: bool = True,
                 memory_budget: int | None = None) -> CorrelationResult:
-    """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box,
-    from the given table of that box or from a new one."""
-    if table is None:
-        table = RepTable(field, v1, v2, memory_budget=memory_budget)
-    else:
+    """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box: from
+    the given table of that box, or else by the route _route picks."""
+    b1, b2 = make_bound(field, v1), make_bound(field, v2)
+    if table is not None:
         if table.field.d != field.d:
             raise OutOfRange("supplied table was built for a different field")
-        want1 = make_bound(field, v1).describe()
-        want2 = make_bound(field, v2).describe()
-        if table.v1.describe() != want1 or table.v2.describe() != want2:
+        if table.v1.describe() != b1.describe() or table.v2.describe() != b2.describe():
             raise OutOfRange("supplied table was built for different bounds")
+        n = _table_correlation(table, include_lambda_zero)
+    else:
+        n = _route(field, b1, b2, include_lambda_zero, memory_budget)
+    c = c_constant(field)
+    main = float(c) * float(b1) * float(b2)
+    return CorrelationResult(
+        d=field.d,
+        v1_label=b1.describe(),
+        v2_label=b2.describe(),
+        n_value=n,
+        main_term=main,
+        deviation=n - main,
+        lambda_zero_included=include_lambda_zero,
+        c_num=c.numerator,
+        c_den=c.denominator,
+    )
+
+
+def _table_correlation(table: RepTable, include_lambda_zero: bool) -> int:
+    """N over the half-open box of the table's bounds, from the table's walk."""
     axis = [] if include_lambda_zero else [0]
     edge = _strict_row_range(table)
     if edge is not None:  # the closed box's cell on an edge of the half-open one
@@ -597,19 +618,48 @@ def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
         total += w * s
 
     _walk(table, axis, add)
-    c = c_constant(field)
-    main = float(c) * float(table.v1) * float(table.v2)
-    return CorrelationResult(
-        d=field.d,
-        v1_label=table.v1.describe(),
-        v2_label=table.v2.describe(),
-        n_value=total,
-        main_term=main,
-        deviation=total - main,
-        lambda_zero_included=include_lambda_zero,
-        c_num=c.numerator,
-        c_den=c.denominator,
-    )
+    return total
+
+
+# the routes' cost estimates in ns: fixed, per table row and cell, per strip
+# element and pair, fitted to both routes' in-process times (best of 8) over the
+# 600 seed-1 boxes of the benchmark's oracle workload and 84 thin, balanced and
+# mixed boxes up to V = 2 10^5 (median error 5% and 3%; 2-vCPU Xeon)
+_TABLE_COST = (260_000, 120, 8)
+_STRIP_COST = (105_000, 220, 195)
+# the strip is taken where its estimate is under the table's over this factor:
+# where the two are close the box stays on the table, the route whose stages the
+# benchmark's per-layer tracer reads
+_STRIP_MARGIN = 2
+
+
+def _route(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
+           memory_budget: int | None) -> int:
+    """N by the strip where its estimate is under the table's by _STRIP_MARGIN,
+    or where the table refuses the box and the strip does not; else by the
+    table. The estimates are exact integers made before any array: the strip's
+    elements and pairs, and the table's row cap and _min_cells."""
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    try:
+        n, pairs = _strip_estimate(field, b1, b2)
+        _strip_charge(n, pairs, budget)
+    except CapacityExceeded:
+        strip = None
+    else:
+        s0, s1, s2 = _STRIP_COST
+        strip = s0 + s1 * n + s2 * pairs
+    sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+    t0, t1, t2 = _TABLE_COST
+    rows, cells = _row_cap(b1, b2, sigma) + 1, _min_cells(b1, b2, sigma, _equal_rationals(b1, b2))
+    if strip is None or t0 + t1 * rows + t2 * cells <= _STRIP_MARGIN * strip:
+        try:
+            table = RepTable(field, b1, b2, memory_budget=memory_budget)
+        except CapacityExceeded:
+            if strip is None:
+                raise
+        else:
+            return _table_correlation(table, include_lambda_zero)
+    return _strip(field, b1, b2, include_lambda_zero, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -801,22 +851,12 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
         key = np.repeat(e, cnt) + e[part] + (w - p0 * row)
         del part
         key.sort()
-        # the distinct keys and their counts, then lambda + 1 for the band's own lambdas
-        cut = np.ones(len(key) + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=cut[1:-1])
-        cut = np.flatnonzero(cut)  # where each run of equal keys starts, then len(key)
-        keys, counts = key[cut[:-1]], cut[1:] - cut[:-1]
-        own = keys[:keys.searchsorted((p1 - p0) * row)]
-        at = np.minimum(keys.searchsorted(own + 2 * row), len(keys) - 1)
-        hit = keys[at] == own + 2 * row
-        high, low = np.divmod(own[hit], row)  # P - P0 and Q + w
-        for p_off, q_off, a, b in zip(high.tolist(), low.tolist(),
-                                      counts[:len(own)][hit].tolist(), counts[at[hit]].tolist()):
-            P, Q = p0 + p_off, q_off - w
-            if not include_lambda_zero and P == 0 and Q == 0:
-                continue
-            # box: lambda >= 0 (automatic), strict upper bounds
-            if b1.allows(P, Q, True) and b2.allows(P, -Q, True):
-                total += a * b
+
+        def decode(keys, p0=p0):
+            high, low = np.divmod(keys, row)  # P - P0 and Q + w
+            return high + p0, low - w
+
+        total += _tally(key, None, 2 * row, (p1 - p0) * row, decode, b1, b2,
+                        include_lambda_zero)
         p0 = p1
     return total

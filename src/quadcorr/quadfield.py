@@ -73,6 +73,14 @@ def sign_quad(a: int, b: int, d: int) -> int:
     return sa if aa > bb else sb
 
 
+def _isqrt(x: np.ndarray) -> np.ndarray:
+    """floor(sqrt(x)) elementwise, for int64 x below 2^62."""
+    s = np.sqrt(x.astype(np.float64)).astype(np.int64)  # off by at most one
+    s -= s * s > x
+    s += (s + 1) * (s + 1) <= x
+    return s
+
+
 def check_squarefree(d: int) -> list[int]:
     """The sorted prime divisors of d > 1, raising NotSquarefree if a square
     divides d. Trial division by 2, then by odd p while p^2 <= the cofactor."""

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma, kronecker
-from .corrsum import RepTable, correlation, correlation_group_oracle
+from .corrsum import (DEFAULT_MEMORY_BUDGET, InvSqrtBound, RepTable, correlation,
+                      correlation_group_oracle, make_bound)
 from .errors import NotSquarefree, OutOfRange, ScaleGuard, count_text
 from .hilbertgroup import (
     coset_bfs,
@@ -20,6 +21,7 @@ from .hilbertgroup import (
 )
 from .quadfield import field_new
 from .repcount import r_brute, r_sym
+from .strip import _strip
 
 
 # Most chi-table entries the battery's field loop builds: the fields d <= dmax
@@ -132,17 +134,26 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
                 bad += 1
     add("table-vs-brute", bad == 0, f"{bad} mismatches")
 
-    # correlation versus the quadruple-enumeration oracle
-    bad = []
+    # the table route versus the quadruple-enumeration oracle, and the strip route
+    # versus the table on the same boxes and on thin ones
+    bad, off = [], []
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     for d in (2, 5):
         f = field_new(d)
-        for v1 in range(1, corr_limit + 1):
-            for v2 in range(1, corr_limit + 1):
-                a = correlation(f, v1, v2, memory_budget=memory_budget).n_value
+        boxes = [(v1, v2) for v1 in range(1, corr_limit + 1) for v2 in range(1, corr_limit + 1)]
+        for v1, v2 in boxes + [(v, InvSqrtBound(d, Fraction(v))) for v in (10, 1000)]:
+            table = RepTable(f, v1, v2, memory_budget=memory_budget)
+            a = correlation(f, v1, v2, table=table).n_value
+            if isinstance(v2, int):
                 b = correlation_group_oracle(f, v1, v2)
                 if a != b:
                     bad.append((d, v1, v2, a, b))
+            b = _strip(f, make_bound(f, v1), make_bound(f, v2), True, budget)
+            if a != b:
+                off.append((d, v1, v2, a, b))
     add("correlation-vs-oracle", not bad, f"first offenders: {bad[:3]}")
+    add("strip-vs-table", not off,
+        f"{2 * len(boxes) + 4} boxes over d in (2, 5); first offenders: {off[:3]}")
 
     # coset structure
     bad = []
@@ -182,7 +193,8 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
 
     # the symmetric table layout against full storage
     f2 = field_new(2)
-    base = correlation(f2, 300, 300, memory_budget=memory_budget).n_value
+    base = correlation(f2, 300, 300,
+                       table=RepTable(f2, 300, 300, memory_budget=memory_budget)).n_value
     alt = correlation(f2, 300, 300, table=RepTable(f2, 300, 300, symmetric=False,
                                                    memory_budget=memory_budget)).n_value
     add("storage-determinism", base == alt, f"symmetric {base} vs full {alt}")

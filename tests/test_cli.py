@@ -363,14 +363,32 @@ def test_rcount_scale_guard(capsys):
     ("correlate", "--d", "2", "--v1", "100000", "--v2", "100000"),
 ])
 def test_capacity_refusal_before_row_pass(capsys, monkeypatch, argv):
-    # the cells alone exceed the default budget, so no row is computed
+    # the cells alone exceed the default budget, so no row is computed, and the
+    # strip's estimate of its pairs refuses it before any of its arrays
     def row_pass_ran(self):
         raise AssertionError("the row pass ran before the capacity refusal")
 
     monkeypatch.setattr(corrsum.RepTable, "_compute_rows", row_pass_ran)
+    monkeypatch.setattr(corrsum, "_strip", _fail("the strip"))
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
     assert code == 3
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (("table-g", "--d", "2", "--v", "10000000000"), "V=10000000000: N = 829732, G = 1.037165"),
+    (("table-g", "--d", "2", "--v", "30000000"), "V=30000000: N = 46180, G = 1.053909"),
+    (("correlate", "--d", "3", "--v1", "1/1000000", "--v2", "1000000000000"),
+     "N_3(1/1000000, 1000000000000) = 4064932"),
+])
+def test_thin_boxes_past_the_table_run_on_the_strip(capsys, argv, line):
+    # the table refuses each of these on its rows alone
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.splitlines()[0] == line
 
 
 def _call(argv):
@@ -459,6 +477,10 @@ def _argv(draw):
 @given(_argv())
 @settings(max_examples=300, deadline=None)
 @example(["correlate", "--d", "2", "--v1", "2", "--v2", "2", "--dump-table", "/nonexistent/x.csv"])
+# thin shapes whose route estimates must stay in exact integers past float range
+@example(["table-g", "--d", "2", "--v", "1" + "0" * 400])
+@example(["correlate", "--d", "3", "--v1", "7/2", "--v2", "1e-400"])
+@example(["correlate", "--d", "5", "--v1", "1e400", "--v2", "1/3", "--exclude-lambda-zero"])
 def test_cli_fuzz_exit_codes(argv):
     code, _, err = _call(argv)
     assert code in (0, 1, 2, 3), (argv, code)

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcorr import corrsum
+from quadcorr import corrsum, strip
 from quadcorr import (
     CapacityExceeded,
     InvSqrtBound,
@@ -101,7 +104,7 @@ def test_oracle_equivalence_small(d):
     field = field_new(d)
     for v1 in range(1, 7):
         for v2 in range(1, 7):
-            a = correlation(field, v1, v2).n_value
+            a = correlation(field, v1, v2, table=RepTable(field, v1, v2)).n_value
             b = correlation_group_oracle(field, v1, v2)
             assert a == b, (d, v1, v2)
 
@@ -111,7 +114,8 @@ def test_oracle_examples():
     assert correlation_group_oracle(f2, 3, 3) == 100
     assert correlation_group_oracle(f2, 1, 1) == 4
     f5 = field_new(5)
-    assert correlation_group_oracle(f5, 2, 2) == correlation(f5, 2, 2).n_value
+    assert correlation_group_oracle(f5, 2, 2) == correlation(
+        f5, 2, 2, table=RepTable(f5, 2, 2)).n_value
 
 
 @pytest.mark.parametrize("value", [0, Fraction(-1, 2)])
@@ -163,7 +167,7 @@ def test_monotonicity():
 def test_symmetric_storage_equals_full(d):
     field = field_new(d)
     for v in (5, 9, 14):
-        a = correlation(field, v, v).n_value
+        a = correlation(field, v, v, table=RepTable(field, v, v)).n_value
         b = correlation(field, v, v, table=RepTable(field, v, v, symmetric=False)).n_value
         assert a == b, (d, v)
 
@@ -187,7 +191,7 @@ def test_grid_matches_pointwise_correlation(d):
     field = field_new(d)
     grid = correlation_grid(field, 15)
     for v in range(1, 16):
-        assert grid[v] == correlation(field, v, v).n_value, (d, v)
+        assert grid[v] == correlation(field, v, v, table=RepTable(field, v, v)).n_value, (d, v)
 
 
 def test_grid_excluding_lambda_zero():
@@ -364,7 +368,7 @@ def test_correlation_is_sum_of_products(d, v1, v2):
     for lam in box_lambdas(field, max(v1, v2) + 1):
         if lam.cmp(v1) < 0 and lam.conj().cmp(v2) < 0:
             expected += r_brute(field, lam) * r_brute(field, lam + field.one())
-    assert correlation(field, v1, v2).n_value == expected
+    assert correlation(field, v1, v2, table=RepTable(field, v1, v2)).n_value == expected
 
 
 @st.composite
@@ -467,7 +471,9 @@ def test_conjugation_swap(d, data):
         v1 = data.draw(st.fractions(Fraction(1, 3), 300, max_denominator=7))
         v2 = data.draw(st.fractions(Fraction(1, 3), 40, max_denominator=7)
                        | st.builds(lambda v: InvSqrtBound(d, v), st.integers(1, 2000)))
-    assert correlation(field, v1, v2).n_value == correlation(field, v2, v1).n_value
+    n = [correlation(field, a, b, table=RepTable(field, a, b)).n_value
+         for a, b in ((v1, v2), (v2, v1))]
+    assert n[0] == n[1]
 
 
 def test_cell_overflow_guard(monkeypatch):
@@ -526,10 +532,10 @@ def test_narrowed_edge_rows_charged_before_the_work():
     # settled one by one; _ROW_BYTES must cover that build before any row exists
     field = field_new(2)
     v1, v2 = Fraction(1, 10**9 + 7), Fraction(30000)
-    correlation(field, v1, v2)  # warm up lazily built state
+    correlation(field, v1, v2, table=RepTable(field, v1, v2))  # warm up lazily built state
     tracemalloc.start()
     try:
-        correlation(field, v1, v2)
+        correlation(field, v1, v2, table=RepTable(field, v1, v2))
         need = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -650,19 +656,25 @@ def test_grid_matches_pointwise_on_every_ring_class(d, xmax, include_zero):
     field = field_new(d)
     grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
     for v in range(1, xmax + 1):
-        res = correlation(field, v, v, include_lambda_zero=include_zero)
+        res = correlation(field, v, v, table=RepTable(field, v, v),
+                          include_lambda_zero=include_zero)
         assert grid[v] == res.n_value, (d, v)
 
 
+@contextlib.contextmanager
 def _walked_as(f):
     """A patch of RepTable._build under which each band reaches the walk as
-    f(band), the cells a table of other values would hand it."""
+    f(band), the cells a table of other values would hand it; it fails when no
+    band reached a walk."""
     build = RepTable._build
+    bands = []
 
     def patched(table, walk=None):
-        build(table, walk and (lambda k0, cells: walk(k0, f(cells))))
+        build(table, walk and (lambda k0, cells: bands.append(k0) or walk(k0, f(cells))))
 
-    return mock.patch.object(RepTable, "_build", patched)
+    with mock.patch.object(RepTable, "_build", patched):
+        yield
+    assert bands, "no band reached the walk"
 
 
 def test_grid_exact_past_float_precision():
@@ -732,9 +744,9 @@ def test_correlation_exact_past_int64():
     # doubled), so the products of one band sum far past 2^63
     field = field_new(2)
     with _walked_as(lambda cells: (cells > 0).astype(np.int32)):  # a wide table's cells
-        ones = correlation(field, 40, 40).n_value
+        ones = correlation(field, 40, 40, table=RepTable(field, 40, 40)).n_value
     with _walked_as(lambda cells: (cells > 0).astype(np.int32) * (2**31 - 1)):
-        big = correlation(field, 40, 40).n_value
+        big = correlation(field, 40, 40, table=RepTable(field, 40, 40)).n_value
     assert ones > 2 and big == ones * (2**31 - 1) ** 2
 
 
@@ -750,7 +762,8 @@ def test_walk_exact_at_the_largest_cells(d):
         n = {}
         for c in (1, 2**31 - 1):
             with _walked_as(lambda cells: np.full(len(cells), c, dtype=np.int32)):
-                n[c] = correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+                n[c] = correlation(field, v1, v2, table=RepTable(field, v1, v2),
+                                   include_lambda_zero=include_zero).n_value
         assert n[1] > 2 and n[2**31 - 1] == n[1] * (2**31 - 1) ** 2, (v1, v2)
 
 
@@ -915,7 +928,8 @@ def test_oracle_matches_reference_loop(d, include_zero, data):
         v1, v2 = data.draw(_oracle_bound(d)), data.draw(_oracle_bound(d))
     got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
     assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
-    assert got == correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+    assert got == correlation(field, v1, v2, table=RepTable(field, v1, v2),
+                              include_lambda_zero=include_zero).n_value
 
 
 @given(st.sampled_from(RING_DS), st.booleans(), st.data())
@@ -934,7 +948,8 @@ def test_oracle_bands_split_lambda_from_lambda_plus_one(d, include_zero, data):
     with mock.patch.object(corrsum, "_ORACLE_BAND_PAIRS", 2):
         got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
     assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
-    assert got == correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+    assert got == correlation(field, v1, v2, table=RepTable(field, v1, v2),
+                              include_lambda_zero=include_zero).n_value
 
 
 def test_oracle_memory_follows_the_band_cap():
@@ -951,7 +966,8 @@ def test_oracle_memory_follows_the_band_cap():
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    assert sums[0] == sums[1] == correlation(field, 150, 150).n_value
+    assert sums[0] == sums[1] == correlation(field, 150, 150,
+                                             table=RepTable(field, 150, 150)).n_value
     assert peaks[1] < min(64 * (1 << 12), peaks[0] / 4), peaks
 
 
@@ -982,7 +998,8 @@ def test_inv_sqrt_bound_on_a_row_matches_oracle(d, include_zero):
     for w in (Fraction(1), Fraction(1, 9)):
         for q in (Fraction(3), Fraction(7, 2)):
             for v1, v2 in ((InvSqrtBound(d, w), q), (q, InvSqrtBound(d, w))):
-                got = correlation(field, v1, v2, include_lambda_zero=include_zero).n_value
+                got = correlation(field, v1, v2, table=RepTable(field, v1, v2),
+                                  include_lambda_zero=include_zero).n_value
                 assert got == correlation_group_oracle(
                     field, v1, v2, include_lambda_zero=include_zero), (w, q)
 
@@ -1155,3 +1172,149 @@ def test_min_cells_equals_its_exact_formula(d, symmetric):
             assert got <= want, (b1.describe(), b2.describe())
         positive += got > 0
     assert positive >= len(pairs) // 2
+
+
+def _strip_n(field, v1, v2, include_lambda_zero=True, budget=corrsum.DEFAULT_MEMORY_BUDGET):
+    return corrsum._strip(field, make_bound(field, v1), make_bound(field, v2),
+                          include_lambda_zero, budget)
+
+
+def _table_n(field, v1, v2, include_lambda_zero=True):
+    return correlation(field, v1, v2, table=RepTable(field, v1, v2),
+                       include_lambda_zero=include_lambda_zero).n_value
+
+
+@st.composite
+def _strip_box(draw, d):
+    """A box up to 10^5: a side of denominator 2 to 7 and a thin one, V^(-1/2)
+    or a rational below 1, or a rational above 1 on a box small enough for the
+    strip's pair sweep; the thin side in either slot."""
+    def up_to_ten_to(k):  # at least 1, 10, ..., 10^(k-1) alike
+        return st.integers(0, k - 1).flatmap(lambda e: st.integers(10**e, 10**k))
+
+    big = Fraction(draw(up_to_ten_to(5)), draw(st.integers(2, 7)))
+    kind = draw(st.sampled_from(("inv_sqrt", "below", "above")))
+    if kind == "inv_sqrt":
+        small = InvSqrtBound(d, Fraction(draw(up_to_ten_to(5)), draw(st.integers(1, 3))))
+    elif kind == "below":
+        small = Fraction(draw(st.integers(1, 99)), draw(st.integers(100, 10**6)))
+    else:
+        small = Fraction(draw(st.integers(101, 4000)), 100)
+        big = min(big, Fraction(draw(st.integers(1, 3000)), 7))
+    return (small, big) if draw(st.booleans()) else (big, small)
+
+
+@given(st.sampled_from(RING_DS), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+@example(d=2, include_zero=True, data=(Fraction(10**5), InvSqrtBound(2, Fraction(10**5))))
+@example(d=5, include_zero=False, data=(InvSqrtBound(5, Fraction(3000)), Fraction(3000)))
+# V^(-1/2) on a lattice point, sqrt(d)/sigma, in the strip's sort side and in the other
+@example(d=13, include_zero=True, data=(Fraction(9, 2), InvSqrtBound(13, Fraction(4, 13))))
+@example(d=3, include_zero=False, data=(InvSqrtBound(3, Fraction(1, 3)), Fraction(1, 10)))
+@example(d=17, include_zero=True, data=(Fraction(7), Fraction(14)))
+@example(d=6, include_zero=True, data=(Fraction(1, 10**9 + 7), Fraction(30000)))
+# V2 10^-30 above lambda^sigma = 3 - 2 sqrt 2 of lambda = (1 + sqrt 2)^2, far inside
+# one float rounding: only the window's slack keeps the pair (1 + sqrt 2, 0)
+@example(d=2, include_zero=True,
+         data=(Fraction(10), Fraction(3 * 10**40 - isqrt(8 * 10**80) + 10**10, 10**40)))
+def test_strip_matches_table_and_oracle(d, include_zero, data):
+    """The strip, the table and, on boxes small enough for it, the group oracle
+    give the same N."""
+    field = field_new(d)
+    v1, v2 = data if isinstance(data, tuple) else data.draw(_strip_box(d))
+    got = _strip_n(field, v1, v2, include_zero)
+    assert got == _table_n(field, v1, v2, include_zero), (v1, v2)
+    if max(make_bound(field, v).ceil() for v in (v1, v2)) <= 40:
+        assert got == correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
+
+
+@pytest.mark.parametrize("d, v, n", [(2, 10**10, 829_732), (2, 10**7, 27_684),
+                                     (5, 10**6, 9_284), (5, 4 * 10**6, 19_172)])
+def test_strip_thin_boxes_past_the_table(d, v, n):
+    """Thin boxes whose tables cost O(V) rows (V = 10^7: 2 s and 480 MB) or are
+    refused (V = 10^10). At V = 10^10 a key P M + Q with M above 2 |Q| would
+    pass 2^63 and wrap."""
+    field = field_new(d)
+    assert correlation(field, v, InvSqrtBound(d, Fraction(v))).n_value == n
+
+
+def test_strip_refuses_its_pairs_before_any_pair_array():
+    field = field_new(5)
+    v1, v2 = Fraction(2000), Fraction(2000)  # 1811 elements, 1,274,226 pairs
+    _strip_n(field, 7, 7)  # warm up lazily built state
+    with mock.patch.object(strip, "_STRIP_PAIR_LIMIT", 1_274_225):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityExceeded, match="1274226 pairs"):
+                _strip_n(field, v1, v2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2_000_000, peak  # the pairs would take 50 MB
+
+
+@pytest.mark.parametrize("d, v1, v2", [(2, 10**7, "inv"), (5, 500, 500), (3, 3000, Fraction(1, 3))])
+def test_strip_charges_its_peak_to_the_budget(d, v1, v2):
+    """The strip's charge covers its traced peak: a budget under the peak is
+    refused, and one of twice the peak is not."""
+    field = field_new(d)
+    v2 = InvSqrtBound(d, Fraction(v1)) if v2 == "inv" else v2
+    want = _strip_n(field, v1, v2)
+    tracemalloc.start()
+    try:
+        _strip_n(field, v1, v2)
+        need = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(CapacityExceeded, match="strip needs"):
+        _strip_n(field, v1, v2, budget=need - 1)
+    assert _strip_n(field, v1, v2, budget=2 * need) == want
+
+
+class _Took(Exception):
+    pass
+
+
+def _route_taken(field, v1, v2, **kwargs):
+    """'strip' or 'table': the route correlation starts, or 'table' when it walks
+    a supplied table without starting either."""
+    with mock.patch.object(corrsum, "_strip", side_effect=_Took("strip")), \
+            mock.patch.object(corrsum, "RepTable", side_effect=_Took("table")):
+        try:
+            correlation(field, v1, v2, **kwargs)
+        except _Took as took:
+            return took.args[0]
+    return "table"
+
+
+def test_route_of_the_benchmark_shapes():
+    """Thin boxes and most small ones go to the strip; balanced V = 10^4 boxes,
+    and boxes where the strip's estimate is not under half the table's, stay
+    on the table. A supplied table pins the table."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    boxes = [(int(op.argv[2]), Fraction(op.argv[4]), Fraction(op.argv[6]))
+             for op in workloads.build("oracle", 1).ops if op.check == "oracle_match"]
+    assert len(boxes) == 600
+    routes = [_route_taken(field_new(d), v1, v2) for d, v1, v2 in boxes]
+    # the other 69 are boxes of d in {2, 3, 5} with both sides above 10
+    assert routes.count("strip") == 531
+    assert all(r == "strip" for (d, v1, v2), r in zip(boxes, routes)
+               if d == 17 or min(v1, v2) <= 10)
+    f2 = field_new(2)
+    for v in (10000, 20000, 30000, 40000, 50000):  # table-g --d 2
+        assert _route_taken(f2, v, InvSqrtBound(2, Fraction(v))) == "strip"
+    for d in (19, 57):
+        assert _route_taken(field_new(d), 10000, 10000) == "table"
+    # a box the table takes, under a budget that refuses the table's rows and not the strip
+    assert _route_taken(f2, 5000, 1) == "table"
+    with pytest.raises(CapacityExceeded):
+        RepTable(f2, 5000, 1, memory_budget=300_000)
+    assert correlation(f2, 5000, 1, memory_budget=300_000).n_value == 38692
+    f5 = field_new(5)
+    assert _route_taken(f5, 20, 20) == "table"  # strip 150 us, table 260 us
+    assert _route_taken(f5, 3, 4) == "strip"
+    assert _route_taken(f5, 3, 4, table=RepTable(f5, 3, 4)) == "table"
