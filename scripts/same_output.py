@@ -9,8 +9,9 @@ seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
 rational forms, large denominators, whose row edges take an inexact
 bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
 table and axis cells for the product walk, a full and a symmetric table's
-`--dump-table`, and refusals of a missing CSV form, a nonpositive bound and
-a box that one route's guard refuses after the other's passes; covolumes
+`--dump-table` and that of a box the strip route takes, and refusals of a
+missing CSV form, a nonpositive bound and a box that one route's guard
+refuses after the other's passes; covolumes
 whose L(2, chi) sums wrap past Delta, long chi listings and a prime-Delta chi
 table; representation counts on the axis of each ring class, the coset sets
 of d = 2 and 3 (mod 4), thin boxes, among them boxes that the strip route
@@ -97,6 +98,9 @@ EXTRA = [
     ["correlate", "--d", "17", "--v1", "23/2", "--v2", "7", "--exclude-lambda-zero",
      "--format", "json"],
     ["correlate", "--d", "3", "--v1", "1/2", "--v2", "40"],
+    # a dump of a box whose N the strip takes: the table is written, dropped, then routed
+    ["correlate", "--d", "5", "--v1", "3", "--v2", "4",
+     "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

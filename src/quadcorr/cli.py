@@ -180,12 +180,12 @@ def _cmd_correlate(args) -> int:
     include = not args.exclude_lambda_zero
     if args.oracle == "group":  # both routes' guards before either route's work
         oracle_guard(field, args.v1, args.v2)
-    table = None
-    if path:  # the whole table for the dump; the walk then builds it again band by band
+    if path:  # the whole table for the dump, dropped before N takes its own route
         table = RepTable(field, args.v1, args.v2, memory_budget=args.memory_budget)
         with open(path, "w", encoding="utf-8") as fh:
             table.write_csv(fh)
-    res = correlation(field, args.v1, args.v2, table=table, include_lambda_zero=include,
+        del table
+    res = correlation(field, args.v1, args.v2, include_lambda_zero=include,
                       memory_budget=args.memory_budget)
     payload = res.to_json_dict()
     lines = [

@@ -46,7 +46,7 @@ import numpy as np
 from .character import c_constant
 from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
 from .quadfield import FieldData, QuadInt, RingClass, _isqrt, sign_quad
-from .strip import _strip, _strip_charge, _strip_estimate, _tally
+from .strip import _strip, _strip_charge, _strip_estimate
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
@@ -562,20 +562,12 @@ def _strict_row_range(table: RepTable) -> int | None:
     return None if table.v1.allows(p, q, True) and table.v2.allows(p, q, True) else i
 
 
-def correlation(field: FieldData, v1, v2, *, table: RepTable | None = None,
-                include_lambda_zero: bool = True,
+def correlation(field: FieldData, v1, v2, *, include_lambda_zero: bool = True,
                 memory_budget: int | None = None) -> CorrelationResult:
-    """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box: from
-    the given table of that box, or else by the route _route picks."""
+    """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box, by
+    the route _route picks."""
     b1, b2 = make_bound(field, v1), make_bound(field, v2)
-    if table is not None:
-        if table.field.d != field.d:
-            raise OutOfRange("supplied table was built for a different field")
-        if table.v1.describe() != b1.describe() or table.v2.describe() != b2.describe():
-            raise OutOfRange("supplied table was built for different bounds")
-        n = _table_correlation(table, include_lambda_zero)
-    else:
-        n = _route(field, b1, b2, include_lambda_zero, memory_budget)
+    n = _route(field, b1, b2, include_lambda_zero, memory_budget)
     c = c_constant(field)
     main = float(c) * float(b1) * float(b2)
     return CorrelationResult(
@@ -627,18 +619,15 @@ def _table_correlation(table: RepTable, include_lambda_zero: bool) -> int:
 # mixed boxes up to V = 2 10^5 (median error 5% and 3%; 2-vCPU Xeon)
 _TABLE_COST = (260_000, 120, 8)
 _STRIP_COST = (105_000, 220, 195)
-# the strip is taken where its estimate is under the table's over this factor:
-# where the two are close the box stays on the table, the route whose stages the
-# benchmark's per-layer tracer reads
-_STRIP_MARGIN = 2
 
 
 def _route(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
            memory_budget: int | None) -> int:
-    """N by the strip where its estimate is under the table's by _STRIP_MARGIN,
-    or where the table refuses the box and the strip does not; else by the
-    table. The estimates are exact integers made before any array: the strip's
-    elements and pairs, and the table's row cap and _min_cells."""
+    """N by the strip where its estimate is under the table's, or where the
+    table refuses the box and the strip does not; else by the table. The
+    estimates are exact integers made before any array, and are compared as
+    they are: the strip's elements and pairs, the table's row cap and
+    _min_cells."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     try:
         n, pairs = _strip_estimate(field, b1, b2)
@@ -651,7 +640,7 @@ def _route(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
     sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
     t0, t1, t2 = _TABLE_COST
     rows, cells = _row_cap(b1, b2, sigma) + 1, _min_cells(b1, b2, sigma, _equal_rationals(b1, b2))
-    if strip is None or t0 + t1 * rows + t2 * cells <= _STRIP_MARGIN * strip:
+    if strip is None or t0 + t1 * rows + t2 * cells <= strip:
         try:
             table = RepTable(field, b1, b2, memory_budget=memory_budget)
         except CapacityExceeded:
@@ -758,7 +747,7 @@ def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
 
 
 # ---------------------------------------------------------------------------
-# Quadruple-enumeration oracle (independent of the table route).
+# Quadruple-enumeration oracle (independent of both routes).
 # ---------------------------------------------------------------------------
 
 # ordered pairs a band of the oracle's tally holds, unless one P alone has more
@@ -794,11 +783,13 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     g3^2 + g4^2 + 1 and g3^2 + g4^2 in the half-open box.
 
     This enumerates the matrix set behind the correlation identity, so it
-    must return exactly correlation(...).n_value. Every ordered pair (g, g')
-    reaches lambda = g^2 + g'^2 = (P + Q sqrt d)/2; the sum is taken over the
-    distinct lambdas in the box, each count of pairs times the count of
-    lambda + 1 = (P + 2 + Q sqrt d)/2. The pairs are built and tallied with
-    numpy in bands of P: the band [P0, P1) builds the pairs with
+    must return exactly correlation(...).n_value, whichever route that took.
+    It is independent of both routes: its elements, keys and tally are its
+    own, and it shares only the bounds' exact test with them. Every ordered
+    pair (g, g') reaches lambda = g^2 + g'^2 = (P + Q sqrt d)/2; the sum is
+    taken over the distinct lambdas in the box, each count of pairs times the
+    count of lambda + 1 = (P + 2 + Q sqrt d)/2. The pairs are built and
+    tallied with numpy in bands of P: the band [P0, P1) builds the pairs with
     P0 <= P < P1 + 2, so it holds its own lambdas and their lambda + 1, and
     the band totals add up. A pair's key (P - P0)(2w + 1) + Q + w, with
     w = smax // 2 + 1 > |Q|, orders the band by (P, Q), and lambda + 1 is
@@ -850,13 +841,16 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
         part = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
         key = np.repeat(e, cnt) + e[part] + (w - p0 * row)
         del part
-        key.sort()
-
-        def decode(keys, p0=p0):
-            high, low = np.divmod(keys, row)  # P - P0 and Q + w
-            return high + p0, low - w
-
-        total += _tally(key, None, 2 * row, (p1 - p0) * row, decode, b1, b2,
-                        include_lambda_zero)
+        # the band's own tally: each distinct key's count of pairs, and lambda + 1's
+        keys, counts = np.unique(key, return_counts=True)
+        del key
+        own = keys[:keys.searchsorted((p1 - p0) * row)]
+        at = np.minimum(keys.searchsorted(own + 2 * row), len(keys) - 1)
+        hit = np.flatnonzero(keys[at] == own + 2 * row)
+        high, low = np.divmod(own[hit], row)  # P - P0 and Q + w
+        for p, q, a, b in zip((high + p0).tolist(), (low - w).tolist(),
+                              counts[hit].tolist(), counts[at[hit]].tolist()):
+            if (p or q or include_lambda_zero) and b1.allows(p, q, True) and b2.allows(p, -q, True):
+                total += a * b
         p0 = p1
     return total

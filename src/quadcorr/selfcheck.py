@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma, kronecker
-from .corrsum import (DEFAULT_MEMORY_BUDGET, InvSqrtBound, RepTable, correlation,
+from .corrsum import (DEFAULT_MEMORY_BUDGET, InvSqrtBound, RepTable, _table_correlation,
                       correlation_group_oracle, make_bound)
 from .errors import NotSquarefree, OutOfRange, ScaleGuard, count_text
 from .hilbertgroup import (
@@ -70,6 +70,7 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
                          f"chi-table entries, over {VERIFY_CHI_LIMIT}")
     results: list[CheckResult] = []
     fields = (2, 3, 5, 13, 17)  # of the representation-count and coset checks
+    ring_fields = (2, 3, 5, 17)  # one per ring class, of the table and correlation checks
 
     def add(name: str, passed: bool, detail: str) -> None:
         results.append(CheckResult(name=name, passed=passed, detail=detail))
@@ -125,25 +126,26 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     add("r-sym-vs-brute", bad == 0, f"{checked} lambdas over d in {fields}, {bad} mismatches")
 
     # table versus per-lambda brute force
-    bad = 0
-    for d in (2, 5):
+    bad = checked = 0
+    for d in ring_fields:
         f = field_new(d)
         table = RepTable(f, box, box, symmetric=False, memory_budget=memory_budget)
         for lam in _lattice_points(f, box):
+            checked += 1
             if table.value(lam) != r_brute(f, lam):
                 bad += 1
-    add("table-vs-brute", bad == 0, f"{bad} mismatches")
+    add("table-vs-brute", bad == 0,
+        f"{checked} lambdas over d in {ring_fields}, {bad} mismatches")
 
     # the table route versus the quadruple-enumeration oracle, and the strip route
     # versus the table on the same boxes and on thin ones
     bad, off = [], []
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-    for d in (2, 5):
+    boxes = [(v1, v2) for v1 in range(1, corr_limit + 1) for v2 in range(1, corr_limit + 1)]
+    for d in ring_fields:
         f = field_new(d)
-        boxes = [(v1, v2) for v1 in range(1, corr_limit + 1) for v2 in range(1, corr_limit + 1)]
         for v1, v2 in boxes + [(v, InvSqrtBound(d, Fraction(v))) for v in (10, 1000)]:
-            table = RepTable(f, v1, v2, memory_budget=memory_budget)
-            a = correlation(f, v1, v2, table=table).n_value
+            a = _table_correlation(RepTable(f, v1, v2, memory_budget=memory_budget), True)
             if isinstance(v2, int):
                 b = correlation_group_oracle(f, v1, v2)
                 if a != b:
@@ -151,9 +153,12 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
             b = _strip(f, make_bound(f, v1), make_bound(f, v2), True, budget)
             if a != b:
                 off.append((d, v1, v2, a, b))
-    add("correlation-vs-oracle", not bad, f"first offenders: {bad[:3]}")
+    add("correlation-vs-oracle", not bad,
+        f"{len(ring_fields) * len(boxes)} boxes over d in {ring_fields}; "
+        f"first offenders: {bad[:3]}")
     add("strip-vs-table", not off,
-        f"{2 * len(boxes) + 4} boxes over d in (2, 5); first offenders: {off[:3]}")
+        f"{len(ring_fields) * (len(boxes) + 2)} boxes over d in {ring_fields}; "
+        f"first offenders: {off[:3]}")
 
     # coset structure
     bad = []
@@ -193,10 +198,9 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
 
     # the symmetric table layout against full storage
     f2 = field_new(2)
-    base = correlation(f2, 300, 300,
-                       table=RepTable(f2, 300, 300, memory_budget=memory_budget)).n_value
-    alt = correlation(f2, 300, 300, table=RepTable(f2, 300, 300, symmetric=False,
-                                                   memory_budget=memory_budget)).n_value
+    base, alt = (_table_correlation(RepTable(f2, 300, 300, symmetric=symmetric,
+                                             memory_budget=memory_budget), True)
+                 for symmetric in (True, False))
     add("storage-determinism", base == alt, f"symmetric {base} vs full {alt}")
 
     return results

@@ -1,5 +1,4 @@
-"""The strip route of the correlation sum N_D(V1, V2), and the pair tally it
-shares with the group-sum oracle of corrsum.
+"""The strip route of the correlation sum N_D(V1, V2).
 
 The strip lists the ring elements g with g^2 <= V1 + 1 and (g^sigma)^2 <= V2 + 1,
 which hold every pair of squares summing to a lambda of the box or to its
@@ -23,42 +22,6 @@ from .quadfield import FieldData, RingClass, _isqrt
 
 if TYPE_CHECKING:
     from .corrsum import Bound
-
-
-def _tally(key: np.ndarray, weight: np.ndarray | None, step: int, end: int | None, decode,
-           b1: Bound, b2: Bound, include_lambda_zero: bool) -> int:
-    """Sum of count(lambda) count(lambda + 1) over the distinct keys below end (all
-    when None) whose lambda lies in the half-open box of (b1, b2). key holds the
-    sorted keys of ordered pairs (g, g'), one per lambda = g^2 + g'^2, each pair
-    counting weight (1 when None); lambda + 1 has the key step further on, and
-    decode(keys) gives the keys' lambdas as doubled coordinates (P, Q)."""
-    if not len(key):
-        return 0
-    cut = np.ones(len(key) + 1, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=cut[1:-1])
-    cut = np.flatnonzero(cut)  # where each run of equal keys starts, then len(key)
-    keys = key[cut[:-1]]
-    if weight is None:
-        counts = cut[1:] - cut[:-1]
-    else:
-        counts = np.add.reduceat(weight, cut[:-1], dtype=np.int64)
-    own = keys[:len(keys) if end is None else keys.searchsorted(end)]
-    at = np.minimum(keys.searchsorted(own + step), len(keys) - 1)
-    hit = keys[at] == own + step
-    total = 0
-    for p, q, a, b in zip(*(x.tolist() for x in decode(own[hit])),
-                          counts[:len(own)][hit].tolist(), counts[at[hit]].tolist()):
-        if not include_lambda_zero and p == 0 and q == 0:
-            continue
-        # box: lambda >= 0 (a sum of squares), strict upper bounds
-        if b1.allows(p, q, True) and b2.allows(p, -q, True):
-            total += a * b
-    return total
-
-
-# ---------------------------------------------------------------------------
-# The strip route: N from the elements g with g^2, (g^sigma)^2 in the box.
-# ---------------------------------------------------------------------------
 
 # f = floor(2 sqrt(V + 1)) of each side stays below this: c1, c2 and the pair
 # sums P, Q of _strip stay below 2^51 and its keys below 2^62
@@ -211,10 +174,17 @@ def _strip(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
     order = key.argsort()
     key, weight = key[order], weight[order]
     del order
-
-    def decode(keys):
-        qq, pp = np.divmod(keys, mod)
-        qq += qmin
-        return pp - 1 + base(qq), qq
-
-    return _tally(key, weight, 2, None, decode, b1, b2, include_lambda_zero)
+    # each distinct key's count of pairs, and the lambdas whose lambda + 1 is reached
+    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    key, count = key[start], np.add.reduceat(weight, start, dtype=np.int64)
+    at = np.minimum(key.searchsorted(key + 2), len(key) - 1)
+    hit = np.flatnonzero(key[at] == key + 2)
+    qs, ps = np.divmod(key[hit], mod)
+    qs += qmin
+    ps += base(qs) - 1
+    total = 0
+    for p, q, a, b in zip(ps.tolist(), qs.tolist(), count[hit].tolist(), count[at[hit]].tolist()):
+        # lambda >= 0 holds for a sum of squares; the box's upper bounds are strict
+        if (p or q or include_lambda_zero) and b1.allows(p, q, True) and b2.allows(p, -q, True):
+            total += a * b
+    return total

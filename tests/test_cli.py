@@ -69,9 +69,10 @@ def test_correlate_rational_arguments(capsys):
 
 def test_correlate_dump_table(tmp_path, capsys):
     path = tmp_path / "table.csv"
-    code, _, _ = run(capsys, "correlate", "--d", "2", "--v1", "3", "--v2", "3",
-                     "--dump-table", str(path))
+    code, out, _ = run(capsys, "correlate", "--d", "2", "--v1", "3", "--v2", "3",
+                       "--dump-table", str(path))
     assert code == 0
+    assert out.splitlines()[0] == "N_2(3, 3) = 100"  # routed to the strip after the dump
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "# D=2 doubled=0"
     assert lines[1] == "x,y,r"

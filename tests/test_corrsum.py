@@ -3,6 +3,7 @@ import io
 import math
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from math import isqrt
 from pathlib import Path
@@ -34,6 +35,7 @@ from quadcorr.corrsum import (
     _doubled,
     _max_j,
     _min_cells,
+    _table_correlation,
     make_bound,
 )
 from quadcorr.quadfield import RingClass, sign_quad
@@ -45,6 +47,11 @@ RING_DS = [2, 6, 3, 7, 5, 13, 17, 41]
 
 def _sigma(d):
     return 2 if d % 4 == 1 else 1
+
+
+def _table_n(field, v1, v2, include_lambda_zero=True, **kwargs):
+    """N from the table of the box, whichever route correlation would take."""
+    return _table_correlation(RepTable(field, v1, v2, **kwargs), include_lambda_zero)
 
 
 def test_table_example_d2():
@@ -104,7 +111,7 @@ def test_oracle_equivalence_small(d):
     field = field_new(d)
     for v1 in range(1, 7):
         for v2 in range(1, 7):
-            a = correlation(field, v1, v2, table=RepTable(field, v1, v2)).n_value
+            a = _table_n(field, v1, v2)
             b = correlation_group_oracle(field, v1, v2)
             assert a == b, (d, v1, v2)
 
@@ -114,9 +121,40 @@ def test_oracle_examples():
     assert correlation_group_oracle(f2, 3, 3) == 100
     assert correlation_group_oracle(f2, 1, 1) == 4
     f5 = field_new(5)
-    assert correlation_group_oracle(f5, 2, 2) == correlation(
-        f5, 2, 2, table=RepTable(f5, 2, 2)).n_value
+    assert correlation_group_oracle(f5, 2, 2) == _table_n(f5, 2, 2)
 
+
+
+def test_group_oracle_shares_no_code_with_the_strip():
+    """The oracle checks both routes only while it shares none of their code: no
+    global or closure name used by its code, or by the code of the quadcorr
+    functions and classes that it reaches, resolves to the strip module or to an
+    object defined in it."""
+    shared, seen, todo = [], set(), [correlation_group_oracle]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or not str(getattr(obj, "__module__", "")).startswith("quadcorr"):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, type):
+            todo.extend(getattr(v, "__func__", getattr(v, "fget", v)) for v in vars(obj).values())
+            continue
+        if not isinstance(obj, types.FunctionType):
+            continue
+        names = dict(obj.__globals__)
+        cells = (c.cell_contents for c in obj.__closure__ or ())
+        names.update(zip(obj.__code__.co_freevars, cells))
+        codes = [obj.__code__]
+        while codes:
+            code = codes.pop()
+            codes.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+            for name in code.co_names + code.co_freevars:
+                target = names.get(name)
+                if target is strip or getattr(target, "__module__", None) == strip.__name__:
+                    shared.append((code.co_qualname, name))
+                todo.append(target)
+    assert {id(f) for f in (corrsum.oracle_guard, make_bound, RationalBound.allows)} <= seen
+    assert shared == []
 
 @pytest.mark.parametrize("value", [0, Fraction(-1, 2)])
 def test_rational_bound_must_be_positive(value):
@@ -167,18 +205,14 @@ def test_monotonicity():
 def test_symmetric_storage_equals_full(d):
     field = field_new(d)
     for v in (5, 9, 14):
-        a = correlation(field, v, v, table=RepTable(field, v, v)).n_value
-        b = correlation(field, v, v, table=RepTable(field, v, v, symmetric=False)).n_value
+        a = _table_n(field, v, v)
+        b = _table_n(field, v, v, symmetric=False)
         assert a == b, (d, v)
 
 
 def test_supplied_table_must_match_field_and_bounds():
     f2, f3 = field_new(2), field_new(3)
     assert correlation(f3, 10, 10).n_value == 484 != correlation(f2, 10, 10).n_value
-    with pytest.raises(OutOfRange, match="different field"):
-        correlation(f3, 10, 10, table=RepTable(f2, 10, 10))
-    with pytest.raises(OutOfRange, match="different bounds"):
-        correlation(f2, 10, 9, table=RepTable(f2, 10, 10))
 
 
 def test_symmetric_requires_equal_bounds():
@@ -191,7 +225,7 @@ def test_grid_matches_pointwise_correlation(d):
     field = field_new(d)
     grid = correlation_grid(field, 15)
     for v in range(1, 16):
-        assert grid[v] == correlation(field, v, v, table=RepTable(field, v, v)).n_value, (d, v)
+        assert grid[v] == _table_n(field, v, v), (d, v)
 
 
 def test_grid_excluding_lambda_zero():
@@ -368,7 +402,7 @@ def test_correlation_is_sum_of_products(d, v1, v2):
     for lam in box_lambdas(field, max(v1, v2) + 1):
         if lam.cmp(v1) < 0 and lam.conj().cmp(v2) < 0:
             expected += r_brute(field, lam) * r_brute(field, lam + field.one())
-    assert correlation(field, v1, v2, table=RepTable(field, v1, v2)).n_value == expected
+    assert _table_n(field, v1, v2) == expected
 
 
 @st.composite
@@ -471,8 +505,7 @@ def test_conjugation_swap(d, data):
         v1 = data.draw(st.fractions(Fraction(1, 3), 300, max_denominator=7))
         v2 = data.draw(st.fractions(Fraction(1, 3), 40, max_denominator=7)
                        | st.builds(lambda v: InvSqrtBound(d, v), st.integers(1, 2000)))
-    n = [correlation(field, a, b, table=RepTable(field, a, b)).n_value
-         for a, b in ((v1, v2), (v2, v1))]
+    n = [_table_n(field, a, b) for a, b in ((v1, v2), (v2, v1))]
     assert n[0] == n[1]
 
 
@@ -521,7 +554,7 @@ def test_narrow_cell_limit_picks_the_width(monkeypatch):
         monkeypatch.setattr(corrsum, "_NARROW_CELL_LIMIT", limit)
         table = RepTable(field, 60, 60)
         assert table._cells().dtype == dtype
-        built[dtype] = (table._cells(), correlation(field, 60, 60, table=table).n_value,
+        built[dtype] = (table._cells(), _table_correlation(table, True),
                         correlation_grid(field, 60))
     (flat_a, n_a, grid_a), (flat_b, n_b, grid_b) = built.values()
     assert (flat_a == flat_b).all() and n_a == n_b and (grid_a == grid_b).all()
@@ -532,10 +565,10 @@ def test_narrowed_edge_rows_charged_before_the_work():
     # settled one by one; _ROW_BYTES must cover that build before any row exists
     field = field_new(2)
     v1, v2 = Fraction(1, 10**9 + 7), Fraction(30000)
-    correlation(field, v1, v2, table=RepTable(field, v1, v2))  # warm up lazily built state
+    _table_n(field, v1, v2)  # warm up lazily built state
     tracemalloc.start()
     try:
-        correlation(field, v1, v2, table=RepTable(field, v1, v2))
+        _table_n(field, v1, v2)
         need = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -656,9 +689,7 @@ def test_grid_matches_pointwise_on_every_ring_class(d, xmax, include_zero):
     field = field_new(d)
     grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
     for v in range(1, xmax + 1):
-        res = correlation(field, v, v, table=RepTable(field, v, v),
-                          include_lambda_zero=include_zero)
-        assert grid[v] == res.n_value, (d, v)
+        assert grid[v] == _table_n(field, v, v, include_zero), (d, v)
 
 
 @contextlib.contextmanager
@@ -735,8 +766,7 @@ def test_correlation_matches_reference_route(d, symmetric, include_zero, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
     table = RepTable(field, v1, v2, symmetric=symmetric)
-    got = correlation(field, v1, v2, table=table, include_lambda_zero=include_zero)
-    assert got.n_value == _reference_correlation(table, include_zero)
+    assert _table_correlation(table, include_zero) == _reference_correlation(table, include_zero)
 
 
 def test_correlation_exact_past_int64():
@@ -744,9 +774,9 @@ def test_correlation_exact_past_int64():
     # doubled), so the products of one band sum far past 2^63
     field = field_new(2)
     with _walked_as(lambda cells: (cells > 0).astype(np.int32)):  # a wide table's cells
-        ones = correlation(field, 40, 40, table=RepTable(field, 40, 40)).n_value
+        ones = _table_n(field, 40, 40)
     with _walked_as(lambda cells: (cells > 0).astype(np.int32) * (2**31 - 1)):
-        big = correlation(field, 40, 40, table=RepTable(field, 40, 40)).n_value
+        big = _table_n(field, 40, 40)
     assert ones > 2 and big == ones * (2**31 - 1) ** 2
 
 
@@ -762,8 +792,7 @@ def test_walk_exact_at_the_largest_cells(d):
         n = {}
         for c in (1, 2**31 - 1):
             with _walked_as(lambda cells: np.full(len(cells), c, dtype=np.int32)):
-                n[c] = correlation(field, v1, v2, table=RepTable(field, v1, v2),
-                                   include_lambda_zero=include_zero).n_value
+                n[c] = _table_n(field, v1, v2, include_zero)
         assert n[1] > 2 and n[2**31 - 1] == n[1] * (2**31 - 1) ** 2, (v1, v2)
 
 
@@ -804,17 +833,16 @@ def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, wa
             mock.patch.object(corrsum, "_BATCH_PAIRS", batch), \
             mock.patch.object(corrsum, "_WALK_CELLS", walk):
         streamed = RepTable(field, v1, v2, symmetric=symmetric)
-        n = correlation(field, v1, v2, table=streamed, include_lambda_zero=include_zero).n_value
+        n = _table_correlation(streamed, include_zero)
         # the walk held one band: at most `band` cells, or one column; a read after
         # it builds the whole table
         assert len(streamed.flat) <= max(band, int(np.diff(streamed.col_start).max()))
         assert (streamed._cells() == _reference_flat(streamed)).all()
         read = RepTable(field, v1, v2, symmetric=symmetric)
         assert (read._cells() == _reference_flat(read)).all()
-        walked = correlation(field, v1, v2, table=read, include_lambda_zero=include_zero).n_value
+        walked = _table_correlation(read, include_zero)
         grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
-    assert n == walked == correlation(field, v1, v2, table=read,
-                                      include_lambda_zero=include_zero).n_value
+    assert n == walked == _table_correlation(read, include_zero)
     assert n == _reference_correlation(read, include_zero)
     assert (grid == correlation_grid(field, xmax, include_lambda_zero=include_zero)).all()
     for v in range(1, xmax + 1):
@@ -928,8 +956,7 @@ def test_oracle_matches_reference_loop(d, include_zero, data):
         v1, v2 = data.draw(_oracle_bound(d)), data.draw(_oracle_bound(d))
     got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
     assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
-    assert got == correlation(field, v1, v2, table=RepTable(field, v1, v2),
-                              include_lambda_zero=include_zero).n_value
+    assert got == _table_n(field, v1, v2, include_zero)
 
 
 @given(st.sampled_from(RING_DS), st.booleans(), st.data())
@@ -948,8 +975,7 @@ def test_oracle_bands_split_lambda_from_lambda_plus_one(d, include_zero, data):
     with mock.patch.object(corrsum, "_ORACLE_BAND_PAIRS", 2):
         got = correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
     assert got == _reference_oracle(field, v1, v2, include_lambda_zero=include_zero)
-    assert got == correlation(field, v1, v2, table=RepTable(field, v1, v2),
-                              include_lambda_zero=include_zero).n_value
+    assert got == _table_n(field, v1, v2, include_zero)
 
 
 def test_oracle_memory_follows_the_band_cap():
@@ -966,8 +992,7 @@ def test_oracle_memory_follows_the_band_cap():
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-    assert sums[0] == sums[1] == correlation(field, 150, 150,
-                                             table=RepTable(field, 150, 150)).n_value
+    assert sums[0] == sums[1] == _table_n(field, 150, 150)
     assert peaks[1] < min(64 * (1 << 12), peaks[0] / 4), peaks
 
 
@@ -998,8 +1023,7 @@ def test_inv_sqrt_bound_on_a_row_matches_oracle(d, include_zero):
     for w in (Fraction(1), Fraction(1, 9)):
         for q in (Fraction(3), Fraction(7, 2)):
             for v1, v2 in ((InvSqrtBound(d, w), q), (q, InvSqrtBound(d, w))):
-                got = correlation(field, v1, v2, table=RepTable(field, v1, v2),
-                                  include_lambda_zero=include_zero).n_value
+                got = _table_n(field, v1, v2, include_zero)
                 assert got == correlation_group_oracle(
                     field, v1, v2, include_lambda_zero=include_zero), (w, q)
 
@@ -1179,11 +1203,6 @@ def _strip_n(field, v1, v2, include_lambda_zero=True, budget=corrsum.DEFAULT_MEM
                           include_lambda_zero, budget)
 
 
-def _table_n(field, v1, v2, include_lambda_zero=True):
-    return correlation(field, v1, v2, table=RepTable(field, v1, v2),
-                       include_lambda_zero=include_lambda_zero).n_value
-
-
 @st.composite
 def _strip_box(draw, d):
     """A box up to 10^5: a side of denominator 2 to 7 and a thin one, V^(-1/2)
@@ -1275,22 +1294,18 @@ class _Took(Exception):
     pass
 
 
-def _route_taken(field, v1, v2, **kwargs):
-    """'strip' or 'table': the route correlation starts, or 'table' when it walks
-    a supplied table without starting either."""
+def _route_taken(field, v1, v2):
+    """'strip' or 'table': the route correlation starts."""
     with mock.patch.object(corrsum, "_strip", side_effect=_Took("strip")), \
             mock.patch.object(corrsum, "RepTable", side_effect=_Took("table")):
-        try:
-            correlation(field, v1, v2, **kwargs)
-        except _Took as took:
-            return took.args[0]
-    return "table"
+        with pytest.raises(_Took) as took:
+            correlation(field, v1, v2)
+    return took.value.args[0]
 
 
 def test_route_of_the_benchmark_shapes():
-    """Thin boxes and most small ones go to the strip; balanced V = 10^4 boxes,
-    and boxes where the strip's estimate is not under half the table's, stay
-    on the table. A supplied table pins the table."""
+    """Thin boxes and small ones go to the strip; balanced V = 10^4 boxes, and
+    boxes where the strip's estimate is over the table's, stay on the table."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
@@ -1299,11 +1314,7 @@ def test_route_of_the_benchmark_shapes():
     boxes = [(int(op.argv[2]), Fraction(op.argv[4]), Fraction(op.argv[6]))
              for op in workloads.build("oracle", 1).ops if op.check == "oracle_match"]
     assert len(boxes) == 600
-    routes = [_route_taken(field_new(d), v1, v2) for d, v1, v2 in boxes]
-    # the other 69 are boxes of d in {2, 3, 5} with both sides above 10
-    assert routes.count("strip") == 531
-    assert all(r == "strip" for (d, v1, v2), r in zip(boxes, routes)
-               if d == 17 or min(v1, v2) <= 10)
+    assert [_route_taken(field_new(d), v1, v2) for d, v1, v2 in boxes] == ["strip"] * 600
     f2 = field_new(2)
     for v in (10000, 20000, 30000, 40000, 50000):  # table-g --d 2
         assert _route_taken(f2, v, InvSqrtBound(2, Fraction(v))) == "strip"
@@ -1315,6 +1326,5 @@ def test_route_of_the_benchmark_shapes():
         RepTable(f2, 5000, 1, memory_budget=300_000)
     assert correlation(f2, 5000, 1, memory_budget=300_000).n_value == 38692
     f5 = field_new(5)
-    assert _route_taken(f5, 20, 20) == "table"  # strip 150 us, table 260 us
-    assert _route_taken(f5, 3, 4) == "strip"
-    assert _route_taken(f5, 3, 4, table=RepTable(f5, 3, 4)) == "table"
+    assert _route_taken(f5, 100, 100) == "table"
+    assert _route_taken(f5, 20, 20) == _route_taken(f5, 3, 4) == "strip"

@@ -18,7 +18,7 @@ import quadcorr.cli
 from tracer import Tracer
 tracer = Tracer()
 tracer.install()
-quadcorr.cli.main(["correlate", "--d", "5", "--v1", "20", "--v2", "20"])
+quadcorr.cli.main(["correlate", "--d", "5", "--v1", "100", "--v2", "100"])
 print(json.dumps(tracer.report()))
 """
 
@@ -34,7 +34,8 @@ def test_tracer_reports_every_per_layer_metric():
     # run.py adds the trace.* metrics from the traced and plain passes
     wanted = [m["name"] for m in spec["per_layer"] if not m["name"].startswith("trace.")]
     assert [name for name in wanted if name not in report] == []
-    # the counts read from the table stages, after one table build
+    # the counts read from the table stages, after one table build: the box is
+    # one that correlation routes to the table
     for name in ("corrsum.rows.count", "corrsum.squares.count", "corrsum.cells",
                  "corrsum.table.bytes"):
         assert report[name] > 0, name
