@@ -15,7 +15,8 @@ refuses after the other's passes; covolumes
 whose L(2, chi) sums wrap past Delta, long chi listings and a prime-Delta chi
 table; representation counts on the axis of each ring class, the coset sets
 of d = 2 and 3 (mod 4), thin boxes, among them boxes that the strip route
-takes, and F at x = 1. Each checkout runs them
+takes, with and without lambda = 0, a thin box that both routes refuse,
+and F at x = 1. Each checkout runs them
 all through `quadcorr.cli.main` in its own process, with its own `src` on the
 path; a `--dump-table` file is read back and its SHA-256 added to the stdout.
 The script prints each argv whose exit code or stdout differ, and exits 1 if
@@ -101,6 +102,9 @@ EXTRA = [
     # a dump of a box whose N the strip takes: the table is written, dropped, then routed
     ["correlate", "--d", "5", "--v1", "3", "--v2", "4",
      "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
+    # strip-routed boxes without lambda = 0, and a thin box refused by both routes
+    ["table-g", "--d", "5", "--v", "3000", "8000", "--exclude-lambda-zero", "--format", "json"],
+    ["table-g", "--d", "2", "--v", "40000000000000"],
 ]
 
 # Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on

@@ -175,7 +175,8 @@ def _cmd_correlate(args) -> int:
     field = field_new(args.d)
     path = args.dump_table
     # before any table: a path open() would refuse only after the whole build
-    if path and (os.path.isdir(path) or not os.access(os.path.dirname(path) or ".", os.W_OK)):
+    if path is not None and (not path or os.path.isdir(path)
+                             or not os.access(os.path.dirname(path) or ".", os.W_OK)):
         raise OutOfRange(f"cannot write the table to {path!r}")
     include = not args.exclude_lambda_zero
     if args.oracle == "group":  # both routes' guards before either route's work

@@ -18,9 +18,9 @@ N and the integer grid behind F take the products r(lambda) r(lambda + 1)
 from one walk over the table, built band by band and stored by columns of
 fixed j so that lambda + 1 is the cell after lambda's: the closed box
 0 <= lambda <= V1, 0 <= lambda^sigma <= V2. The correlation's box is
-half-open (lambda < V1, lambda^sigma < V2), so N's walk leaves out at most
-one cell on j = 0, decided by exact integer sign tests; lambda = 0 is
-included by default.
+half-open (lambda < V1, lambda^sigma < V2), so the walk leaves out at most one
+cell on j = 0, decided by exact integer sign tests. Both routes count lambda = 0;
+excluding it subtracts r(0) r(1) = 4 from their N.
 
 All bookkeeping is integer-exact. The window edges of every trace row come
 from one closed form, the largest j with j m sqrt(d) <= R, which is
@@ -46,7 +46,7 @@ import numpy as np
 from .character import c_constant
 from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
 from .quadfield import FieldData, QuadInt, RingClass, _isqrt, sign_quad
-from .strip import _strip, _strip_charge, _strip_estimate
+from .strip import _strip, _strip_estimate
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
@@ -65,6 +65,11 @@ _BAND_CELLS = 1 << 20
 _BATCH_PAIRS = 1 << 14
 # products per chunk of the product walk, at most
 _WALK_CELLS = 1 << 14
+# r(0) r(1), the product of lambda = 0, which every box holds. Squares are totally
+# nonnegative, so xi^2 + eta^2 = 0 forces xi = eta = 0: r(0) = 1. xi^2 + eta^2 = 1 puts
+# |xi| and |xi^sigma| at most 1, so the integer norm xi xi^sigma is 0 or +-1 and xi is 0
+# or +-1 (sqrt d is irrational), likewise eta: {xi, eta} = {0, +-1}, r(1) = 4
+_R0_R1 = 4
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +532,20 @@ class CorrelationResult:
         }
 
 
-def _walk(table: RepTable, axis: list[int], visit) -> None:
+def _walk(table: RepTable, visit) -> None:
     """Hand the products r(lambda) r(lambda + 1) to visit(k0, x, w, skip) band by
     band, x the cells k0, k0 + 1, ... of whole columns: the product of x[k] is
     x[k] x[k + 1], lambda + 1 being the next cell of the column, and counts w times,
     but not at a column's last cell (x[-1] is one), whose lambda + 1 is outside the
-    window, nor at the positions skip, an int64 array, of the cells (i, 0) of the
-    distinct rows i in axis. A symmetric table's cells with j > 0 stand for their
-    mirrors -j too: from col_start[1] on, after the column j = 0, w = 2. The bands are
-    _build's, handed on as it makes them, also when the whole table was built before."""
-    start, sigma = table.col_start, table.sigma
-    c0 = -table.j0 >> (2 - sigma)  # the column j = 0, whose row 0 is lambda = 0
-    zero, last = int(start[c0]), int(start[c0 + 1]) - 1
-    # j = 0 needs i = j (mod sigma); the column's last cell has no product to leave out
-    skip = np.array([k for i in axis if i % sigma == 0 and (k := zero + i // sigma) < last],
+    window, nor at skip, the int64 array of the band's positions of the edge cell
+    (_strict_row_range). A symmetric table's cells with j > 0 stand for their mirrors
+    -j too: from col_start[1] on, after the column j = 0, w = 2. The bands are _build's,
+    handed on as it makes them, also when the whole table was built before."""
+    start, sigma, i = table.col_start, table.sigma, _strict_row_range(table)
+    zero = int(start[-table.j0 >> (2 - sigma)])  # lambda = 0, first in the column j = 0
+    # the edge cell (i, 0) is on the ring when i = 0 (mod sigma), and never its column's
+    # last: its lambda + 1 <= min(V1, V2) + 1 is in the window
+    skip = np.array([zero + i // sigma] if i is not None and i % sigma == 0 else [],
                     dtype=np.int64)
     seam = int(start[1]) if table.symmetric else 0
 
@@ -565,9 +570,9 @@ def _strict_row_range(table: RepTable) -> int | None:
 def correlation(field: FieldData, v1, v2, *, include_lambda_zero: bool = True,
                 memory_budget: int | None = None) -> CorrelationResult:
     """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box, by
-    the route _route picks."""
+    the route _route picks, less the product of lambda = 0 when it is excluded."""
     b1, b2 = make_bound(field, v1), make_bound(field, v2)
-    n = _route(field, b1, b2, include_lambda_zero, memory_budget)
+    n = _route(field, b1, b2, memory_budget) - (0 if include_lambda_zero else _R0_R1)
     c = c_constant(field)
     main = float(c) * float(b1) * float(b2)
     return CorrelationResult(
@@ -583,12 +588,8 @@ def correlation(field: FieldData, v1, v2, *, include_lambda_zero: bool = True,
     )
 
 
-def _table_correlation(table: RepTable, include_lambda_zero: bool) -> int:
-    """N over the half-open box of the table's bounds, from the table's walk."""
-    axis = [] if include_lambda_zero else [0]
-    edge = _strict_row_range(table)
-    if edge is not None:  # the closed box's cell on an edge of the half-open one
-        axis.append(edge)
+def _table_correlation(table: RepTable) -> int:
+    """N, lambda = 0 included, over the half-open box of the table's bounds."""
     ends = table.col_start[1:][table.ihi >= table.i0] - 1  # each nonempty column's last cell
     total = 0
 
@@ -602,14 +603,14 @@ def _table_correlation(table: RepTable, include_lambda_zero: bool) -> int:
         for a in range(0, len(x) - 1, n):
             y = x[a:a + n + 1].astype(np.int64)
             s += int(np.dot(y[:-1], y[1:]))
-        # less the products at the column ends and at the axis cells, one gathered dot
+        # less the products at the column ends and at the edge cell, one gathered dot
         e = np.append(ends[ends.searchsorted(k0):ends.searchsorted(k0 + len(x) - 1)] - k0, skip)
         y, z = x.take(e).astype(np.int64), x[1:].take(e)
         for a in range(0, len(e), n):
             s -= int(np.dot(y[a:a + n], z[a:a + n]))
         total += w * s
 
-    _walk(table, axis, add)
+    _walk(table, add)
     return total
 
 
@@ -621,17 +622,15 @@ _TABLE_COST = (260_000, 120, 8)
 _STRIP_COST = (105_000, 220, 195)
 
 
-def _route(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
-           memory_budget: int | None) -> int:
-    """N by the strip where its estimate is under the table's, or where the
-    table refuses the box and the strip does not; else by the table. The
-    estimates are exact integers made before any array, and are compared as
-    they are: the strip's elements and pairs, the table's row cap and
-    _min_cells."""
+def _route(field: FieldData, b1: Bound, b2: Bound, memory_budget: int | None) -> int:
+    """N, lambda = 0 included, by the strip where its estimate is under the
+    table's, or where the table refuses the box and the strip does not; else by
+    the table. The estimates are exact integers made before any array, and are
+    compared as they are: the strip's elements and pairs, the table's row cap
+    and _min_cells. The strip is admitted on its estimate's full charge."""
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     try:
-        n, pairs = _strip_estimate(field, b1, b2)
-        _strip_charge(n, pairs, budget)
+        n, pairs = _strip_estimate(field, b1, b2, budget)
     except CapacityExceeded:
         strip = None
     else:
@@ -647,8 +646,8 @@ def _route(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
             if strip is None:
                 raise
         else:
-            return _table_correlation(table, include_lambda_zero)
-    return _strip(field, b1, b2, include_lambda_zero, budget)
+            return _table_correlation(table)
+    return _strip(field, b1, b2, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +678,7 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     starts = table.col_start.tolist()
 
     def bucket(k0: int, x: np.ndarray, w: int, skip: np.ndarray) -> None:
+        # skip goes unused: the edge cell, lambda = xmax, is in bucket xmax + 1, off the grid
         out = buckets[w - 1]
         # a slice per column, short of its last cell; none past the grid
         for c in range(bisect_left(starts, k0), bisect_left(starts, k0 + len(x))):
@@ -687,11 +687,9 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
                 p = x[lo - k0:hi - k0].astype(np.int64)
                 p *= x[lo - k0 + 1:hi - k0 + 1]
                 out[lo + shift[c]:hi + shift[c]] += p
-        for k in skip:  # the axis cells' products leave their buckets, if on the grid
-            v = k0 + k + shift[bisect_right(starts, k0 + k) - 1]
-            out[v:v + 1] -= x.item(k) * x.item(k + 1)
 
-    _walk(table, [] if include_lambda_zero else [0], bucket)
+    _walk(table, bucket)
+    buckets[0, 1] -= 0 if include_lambda_zero else _R0_R1  # every V >= 1 holds lambda = 0
     return np.cumsum(buckets[0] + 2 * buckets[1])
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma, kronecker
 from .corrsum import (DEFAULT_MEMORY_BUDGET, InvSqrtBound, RepTable, _table_correlation,
-                      correlation_group_oracle, make_bound)
+                      correlation, correlation_group_oracle, make_bound)
 from .errors import NotSquarefree, OutOfRange, ScaleGuard, count_text
 from .hilbertgroup import (
     coset_bfs,
@@ -138,23 +138,34 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
         f"{checked} lambdas over d in {ring_fields}, {bad} mismatches")
 
     # the table route versus the quadruple-enumeration oracle, and the strip route
-    # versus the table on the same boxes and on thin ones
+    # versus the table on the same boxes and on thin ones; without lambda = 0, the
+    # routed N, less r(0) r(1), versus the oracle's own exclusion, and r(1) = 4 itself
     bad, off = [], []
     budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     boxes = [(v1, v2) for v1 in range(1, corr_limit + 1) for v2 in range(1, corr_limit + 1)]
+    excluded = [(1, 1), (2, 3), (Fraction(7, 2), 2)]
     for d in ring_fields:
         f = field_new(d)
         for v1, v2 in boxes + [(v, InvSqrtBound(d, Fraction(v))) for v in (10, 1000)]:
-            a = _table_correlation(RepTable(f, v1, v2, memory_budget=memory_budget), True)
+            a = _table_correlation(RepTable(f, v1, v2, memory_budget=memory_budget))
             if isinstance(v2, int):
                 b = correlation_group_oracle(f, v1, v2)
                 if a != b:
                     bad.append((d, v1, v2, a, b))
-            b = _strip(f, make_bound(f, v1), make_bound(f, v2), True, budget)
+            b = _strip(f, make_bound(f, v1), make_bound(f, v2), budget)
             if a != b:
                 off.append((d, v1, v2, a, b))
+        for v1, v2 in excluded:
+            a = correlation(f, v1, v2, include_lambda_zero=False,
+                            memory_budget=memory_budget).n_value
+            b = correlation_group_oracle(f, v1, v2, include_lambda_zero=False)
+            if a != b:
+                bad.append((d, v1, v2, a, b, "without lambda = 0"))
+        if r_brute(f, f.one()) != 4:
+            bad.append((d, "r(1)", r_brute(f, f.one())))
     add("correlation-vs-oracle", not bad,
-        f"{len(ring_fields) * len(boxes)} boxes over d in {ring_fields}; "
+        f"{len(ring_fields) * len(boxes)} boxes over d in {ring_fields}, "
+        f"{len(ring_fields) * len(excluded)} more without lambda = 0, and r(1) = 4; "
         f"first offenders: {bad[:3]}")
     add("strip-vs-table", not off,
         f"{len(ring_fields) * (len(boxes) + 2)} boxes over d in {ring_fields}; "
@@ -199,7 +210,7 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     # the symmetric table layout against full storage
     f2 = field_new(2)
     base, alt = (_table_correlation(RepTable(f2, 300, 300, symmetric=symmetric,
-                                             memory_budget=memory_budget), True)
+                                             memory_budget=memory_budget))
                  for symmetric in (True, False))
     add("storage-determinism", base == alt, f"symmetric {base} vs full {alt}")
 

@@ -63,9 +63,10 @@ def _strip_sides(b1: Bound, b2: Bound) -> tuple[Bound, Bound, int, int]:
     return b1, b2, f1, f2
 
 
-def _strip_estimate(field: FieldData, b1: Bound, b2: Bound) -> tuple[int, int]:
+def _strip_estimate(field: FieldData, b1: Bound, b2: Bound, budget: int) -> tuple[int, int]:
     """(elements, pairs) the strip of the box is expected to hold and sweep, in
-    exact integers and before any array; CapacityExceeded past its reach."""
+    exact integers and before any array; CapacityExceeded past its reach, or
+    where _strip_charge refuses them with the rows of c2 that _strip makes."""
     b1, b2, f1, f2 = _strip_sides(b1, b2)
     one = field.ring_class is RingClass.ONE_MOD_FOUR
     # the rows c2 >= 0 of the strip's parallelogram |c1 + c2 sqrt d| <= f1 + 1/2,
@@ -79,15 +80,15 @@ def _strip_estimate(field: FieldData, b1: Bound, b2: Bound) -> tuple[int, int]:
     v = a if exact else a + 1  # V2 <= v / m
     sweep = 44 * n * n * (v + min(v, m)) // (7 * m * (2 * f2 + 1) ** 2)
     pairs = min(sweep, n * (n + 1) // 2)
+    _strip_charge(n + rows, pairs, budget)
     return n, pairs
 
 
-def _strip(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
-           budget: int) -> int:
-    """N over the half-open box of (b1, b2) from the pairs of ring elements
-    g = (c1 + c2 sqrt d)/2 (c1 = c2 mod 2 when d = 1 mod 4, both even otherwise)
-    with g^2 <= B1 = b1 + 1 and (g^sigma)^2 <= B2 = b2 + 1: every pair of squares
-    summing to a lambda of the box or to its lambda + 1 is made of them.
+def _strip(field: FieldData, b1: Bound, b2: Bound, budget: int) -> int:
+    """N over the half-open box of (b1, b2), lambda = 0 included, from the pairs
+    of ring elements g = (c1 + c2 sqrt d)/2 (c1 = c2 mod 2 when d = 1 mod 4, both
+    even otherwise) with g^2 <= B1 = b1 + 1 and (g^sigma)^2 <= B2 = b2 + 1: every
+    pair of squares summing to a lambda of the box or to its lambda + 1 is made of them.
 
     Elements. With f = floor(2 sqrt B) and u = floor(c2 sqrt d), the row c2 >= 0
     holds the c1 with |c1 + c2 sqrt d| <= 2 sqrt B1 and |c1 - c2 sqrt d| <= 2 sqrt B2,
@@ -185,6 +186,6 @@ def _strip(field: FieldData, b1: Bound, b2: Bound, include_lambda_zero: bool,
     total = 0
     for p, q, a, b in zip(ps.tolist(), qs.tolist(), count[hit].tolist(), count[at[hit]].tolist()):
         # lambda >= 0 holds for a sum of squares; the box's upper bounds are strict
-        if (p or q or include_lambda_zero) and b1.allows(p, q, True) and b2.allows(p, -q, True):
+        if b1.allows(p, q, True) and b2.allows(p, -q, True):
             total += a * b
     return total

@@ -78,7 +78,7 @@ def test_correlate_dump_table(tmp_path, capsys):
     assert lines[1] == "x,y,r"
 
 
-@pytest.mark.parametrize("path", ["/nonexistent/x.csv", "."])
+@pytest.mark.parametrize("path", ["/nonexistent/x.csv", ".", ""])
 def test_dump_table_path_refused_before_any_table(capsys, monkeypatch, path):
     def table_built(self, walk=None):
         raise AssertionError("a table was built before the dump path was checked")

@@ -49,9 +49,15 @@ def _sigma(d):
     return 2 if d % 4 == 1 else 1
 
 
+def _convention(n, include_lambda_zero):
+    """A route's N, which counts lambda = 0, as correlation reports it: less
+    r(0) r(1) when lambda = 0 is excluded."""
+    return n if include_lambda_zero else n - corrsum._R0_R1
+
+
 def _table_n(field, v1, v2, include_lambda_zero=True, **kwargs):
     """N from the table of the box, whichever route correlation would take."""
-    return _table_correlation(RepTable(field, v1, v2, **kwargs), include_lambda_zero)
+    return _convention(_table_correlation(RepTable(field, v1, v2, **kwargs)), include_lambda_zero)
 
 
 def test_table_example_d2():
@@ -554,7 +560,7 @@ def test_narrow_cell_limit_picks_the_width(monkeypatch):
         monkeypatch.setattr(corrsum, "_NARROW_CELL_LIMIT", limit)
         table = RepTable(field, 60, 60)
         assert table._cells().dtype == dtype
-        built[dtype] = (table._cells(), _table_correlation(table, True),
+        built[dtype] = (table._cells(), _table_correlation(table),
                         correlation_grid(field, 60))
     (flat_a, n_a, grid_a), (flat_b, n_b, grid_b) = built.values()
     assert (flat_a == flat_b).all() and n_a == n_b and (grid_a == grid_b).all()
@@ -766,7 +772,8 @@ def test_correlation_matches_reference_route(d, symmetric, include_zero, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
     table = RepTable(field, v1, v2, symmetric=symmetric)
-    assert _table_correlation(table, include_zero) == _reference_correlation(table, include_zero)
+    assert _convention(_table_correlation(table), include_zero) == _reference_correlation(
+        table, include_zero)
 
 
 def test_correlation_exact_past_int64():
@@ -788,11 +795,11 @@ def test_walk_exact_at_the_largest_cells(d):
     c^2 times N on cells of 1, on symmetric and on full storage, whose axis
     holds lambda = 0 and the edge cell of the integer bounds."""
     field = field_new(d)
-    for v1, v2, include_zero in ((12, 12, True), (12, 7, False), (Fraction(23, 2), 9, True)):
+    for v1, v2 in ((12, 12), (12, 7), (Fraction(23, 2), 9)):
         n = {}
         for c in (1, 2**31 - 1):
             with _walked_as(lambda cells: np.full(len(cells), c, dtype=np.int32)):
-                n[c] = _table_n(field, v1, v2, include_zero)
+                n[c] = _table_n(field, v1, v2)
         assert n[1] > 2 and n[2**31 - 1] == n[1] * (2**31 - 1) ** 2, (v1, v2)
 
 
@@ -833,17 +840,17 @@ def test_bands_match_the_whole_table(d, symmetric, include_zero, band, batch, wa
             mock.patch.object(corrsum, "_BATCH_PAIRS", batch), \
             mock.patch.object(corrsum, "_WALK_CELLS", walk):
         streamed = RepTable(field, v1, v2, symmetric=symmetric)
-        n = _table_correlation(streamed, include_zero)
+        n = _table_correlation(streamed)
         # the walk held one band: at most `band` cells, or one column; a read after
         # it builds the whole table
         assert len(streamed.flat) <= max(band, int(np.diff(streamed.col_start).max()))
         assert (streamed._cells() == _reference_flat(streamed)).all()
         read = RepTable(field, v1, v2, symmetric=symmetric)
         assert (read._cells() == _reference_flat(read)).all()
-        walked = _table_correlation(read, include_zero)
+        walked = _table_correlation(read)
         grid = correlation_grid(field, xmax, include_lambda_zero=include_zero)
-    assert n == walked == _table_correlation(read, include_zero)
-    assert n == _reference_correlation(read, include_zero)
+    assert n == walked == _table_correlation(read)
+    assert _convention(n, include_zero) == _reference_correlation(read, include_zero)
     assert (grid == correlation_grid(field, xmax, include_lambda_zero=include_zero)).all()
     for v in range(1, xmax + 1):
         box = RepTable(field, v, v)
@@ -1199,8 +1206,8 @@ def test_min_cells_equals_its_exact_formula(d, symmetric):
 
 
 def _strip_n(field, v1, v2, include_lambda_zero=True, budget=corrsum.DEFAULT_MEMORY_BUDGET):
-    return corrsum._strip(field, make_bound(field, v1), make_bound(field, v2),
-                          include_lambda_zero, budget)
+    n = corrsum._strip(field, make_bound(field, v1), make_bound(field, v2), budget)
+    return _convention(n, include_lambda_zero)
 
 
 @st.composite
@@ -1247,6 +1254,29 @@ def test_strip_matches_table_and_oracle(d, include_zero, data):
         assert got == correlation_group_oracle(field, v1, v2, include_lambda_zero=include_zero)
 
 
+@given(st.sampled_from(RING_DS), st.data())
+@settings(max_examples=40, deadline=None)
+@example(d=2, data=(Fraction(21, 2), InvSqrtBound(2, Fraction(1, 40)), 8))
+@example(d=5, data=(InvSqrtBound(5, Fraction(1, 9)), Fraction(7, 2), 1))
+def test_excluded_n_of_every_route_matches_the_oracle(d, data):
+    """Without lambda = 0, the table's and the strip's N less r(0) r(1), correlation's
+    N and the F grid give the count of the group oracle, which leaves lambda = 0 out
+    by its own per-lambda rule, on rational and V^(-1/2) bounds and on the grid's
+    integer ones."""
+    field = field_new(d)
+    if isinstance(data, tuple):
+        v1, v2, xmax = data
+    else:
+        v1, v2 = data.draw(_oracle_bound(d)), data.draw(_oracle_bound(d))
+        xmax = data.draw(st.integers(1, 8))
+    want = correlation_group_oracle(field, v1, v2, include_lambda_zero=False)
+    assert _table_n(field, v1, v2, False) == _strip_n(field, v1, v2, False) == want, (v1, v2)
+    assert correlation(field, v1, v2, include_lambda_zero=False).n_value == want
+    grid = correlation_grid(field, xmax, include_lambda_zero=False)
+    assert grid.tolist() == [0] + [correlation_group_oracle(field, v, v, include_lambda_zero=False)
+                                   for v in range(1, xmax + 1)]
+
+
 @pytest.mark.parametrize("d, v, n", [(2, 10**10, 829_732), (2, 10**7, 27_684),
                                      (5, 10**6, 9_284), (5, 4 * 10**6, 19_172)])
 def test_strip_thin_boxes_past_the_table(d, v, n):
@@ -1288,6 +1318,17 @@ def test_strip_charges_its_peak_to_the_budget(d, v1, v2):
     with pytest.raises(CapacityExceeded, match="strip needs"):
         _strip_n(field, v1, v2, budget=need - 1)
     assert _strip_n(field, v1, v2, budget=2 * need) == want
+
+
+def test_route_refuses_a_strip_over_budget_before_it_starts():
+    """The strip of the thin box of V = 4 10^13 (table-g --d 2) makes 2.2 million
+    rows of c2 beside its 6.9 million estimated elements: the route charges both,
+    as _strip does, and refuses the box, which the table refuses too, before the
+    strip makes any array."""
+    f2, v = field_new(2), Fraction(4 * 10**13)
+    with mock.patch.object(corrsum, "_strip", side_effect=AssertionError("the strip started")):
+        with pytest.raises(CapacityExceeded):
+            correlation(f2, v, InvSqrtBound(2, v))
 
 
 class _Took(Exception):

@@ -217,3 +217,12 @@ def test_solutions_match_reference_on_edge_cases(d):
     # lambda = d * square, and 1 + d * square: eta = 2 sqrt(d), the C = 0 root
     assert (0, 0, 0, 4) in _assert_matches_reference(field, field.from_int(4 * d))
     assert (2, 0, 0, -4) in _assert_matches_reference(field, field.from_int(4 * d + 1))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 17])
+def test_r_at_zero_and_one(d):
+    """r(0) = 1 and r(1) = 4 in every ring class: the product r(0) r(1) = 4 that
+    correlation subtracts to leave lambda = 0 out."""
+    field = field_new(d)
+    assert r_brute(field, field.zero()) == 1
+    assert r_brute(field, field.one()) == 4
