@@ -1,4 +1,4 @@
-"""Compare the CLI's exit codes and stdout between this checkout and another.
+"""Compare the CLI's exit codes, stdout and stderr between this checkout and another.
 
     python3 scripts/same_output.py BASE
 
@@ -19,8 +19,8 @@ takes, with and without lambda = 0, a thin box that both routes refuse,
 and F at x = 1. Each checkout runs them
 all through `quadcorr.cli.main` in its own process, with its own `src` on the
 path; a `--dump-table` file is read back and its SHA-256 added to the stdout.
-The script prints each argv whose exit code or stdout differ, and exits 1 if
-any do.
+The script prints each argv whose exit code, stdout or stderr differ, with
+what differed, and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ EXTRA = [
     ["table-g", "--d", "2", "--v", "40000000000000"],
 ]
 
-# Runs in the child: argv lists on stdin, one [exit code, stdout] per argv on
-# stdout. A crash is recorded by its exception type in place of the code.
+# Runs in the child: argv lists on stdin, one [exit code, stdout, stderr] per argv
+# on stdout. A crash is recorded by its exception type in place of the code.
 RUNNER = r"""
 import contextlib, hashlib, io, json, os, sys
 import quadcorr.cli
@@ -117,9 +117,9 @@ if not os.path.realpath(quadcorr.cli.__file__).startswith(src + os.sep):
     sys.exit(f"quadcorr was imported from {quadcorr.cli.__file__}, not {src}")
 results = []
 for argv in json.load(sys.stdin):
-    out = io.StringIO()
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = quadcorr.cli.main(argv)
     except SystemExit as exc:
         code = exc.code
@@ -129,7 +129,7 @@ for argv in json.load(sys.stdin):
         with open(path, "rb") as fh:
             out.write(hashlib.sha256(fh.read()).hexdigest())
         os.remove(path)
-    results.append([code, out.getvalue()])
+    results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
@@ -165,11 +165,13 @@ def main() -> int:
     argvs = _argvs()
     ours, theirs = _run(ROOT, argvs), _run(os.path.abspath(args.base), argvs)
     differ = 0
-    for argv, (code, out), (base_code, base_out) in zip(argvs, ours, theirs):
-        if code != base_code or out != base_out:
+    for argv, (code, out, err), (base_code, base_out, base_err) in zip(argvs, ours, theirs):
+        what = [text for text, same in ((f"exit {base_code} -> {code}", code == base_code),
+                                        ("stdout differs", out == base_out),
+                                        ("stderr differs", err == base_err)) if not same]
+        if what:
             differ += 1
-            what = f"exit {base_code} -> {code}" if code != base_code else "stdout differs"
-            print(f"{what}: {' '.join(argv)}")
+            print(f"{', '.join(what)}: {' '.join(argv)}")
     print(f"{len(argvs)} calls, {differ} differ")
     return 1 if differ else 0
 

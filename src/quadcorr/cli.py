@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma
-from .corrsum import (RepTable, correlation, correlation_group_oracle, f_deviation, g_ratio,
-                      oracle_guard)
+from .corrsum import (DEFAULT_MEMORY_BUDGET, RepTable, correlation, correlation_group_oracle,
+                      f_deviation, g_ratio, oracle_guard)
 from .errors import (
     CapacityExceeded,
     DepthExceeded,
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged,
     so every call of main reuses it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--memory-budget", type=int, default=None,
+    common.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
                         help="table memory budget in bytes")
 
     parser = argparse.ArgumentParser(

@@ -45,7 +45,7 @@ import numpy as np
 
 from .character import c_constant
 from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
-from .quadfield import FieldData, QuadInt, RingClass, _isqrt, sign_quad
+from .quadfield import FieldData, QuadInt, _isqrt, sign_quad
 from .strip import _strip, _strip_estimate
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
@@ -212,6 +212,12 @@ def _max_j(bound: Bound, i: np.ndarray, sigma: int) -> np.ndarray:
     return j
 
 
+def _row_cap(v1: Bound, v2: Bound, sigma: int) -> int:
+    """The last row a table of the box (v1, v2) may fill: 2i/sigma = lambda +
+    lambda^sigma <= v1 + v2 + 2."""
+    return sigma * (v1.ceil() + v2.ceil() + 2) // 2
+
+
 # sqrt(d) is bracketed as s/_SQRT_SCALE <= sqrt(d) < (s + 1)/_SQRT_SCALE
 _SQRT_SCALE = 1 << 32
 
@@ -237,7 +243,7 @@ def _min_cells(v1: Bound, v2: Bound, sigma: int, symmetric: bool) -> int:
     # half the area rounded down, half the peak rounded up, one per row
     half_area = a1 * a2 * _SQRT_SCALE // (4 * m1 * m2 * (s + 1))
     half_peak = -(-sigma * c * _SQRT_SCALE // (4 * s))
-    rows = sigma * c // 2 + 1
+    rows = _row_cap(v1, v2, sigma) + 1
     full = max(half_area - half_peak - rows, 0)
     return full // 2 if symmetric else full
 
@@ -245,12 +251,6 @@ def _min_cells(v1: Bound, v2: Bound, sigma: int, symmetric: bool) -> int:
 def _equal_rationals(v1: Bound, v2: Bound) -> bool:
     """Whether the box is (V, V) for a rational V, which a table stores by halves."""
     return isinstance(v1, RationalBound) and isinstance(v2, RationalBound) and v1.value == v2.value
-
-
-def _row_cap(v1: Bound, v2: Bound, sigma: int) -> int:
-    """The last row a table of the box (v1, v2) may fill: 2i/sigma = lambda +
-    lambda^sigma <= v1 + v2 + 2."""
-    return sigma * (v1.ceil() + v2.ceil() + 2) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +276,9 @@ class RepTable:
     """
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
-                 memory_budget: int | None = None):
+                 memory_budget: int = DEFAULT_MEMORY_BUDGET):
         self.field = field
-        self.sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+        self.sigma = field.sigma
         self.v1 = make_bound(field, v1)
         self.v2 = make_bound(field, v2)
 
@@ -293,16 +293,15 @@ class RepTable:
         # last filled row
         self.imax = _row_cap(self.v1, self.v2, self.sigma)
         self.cells = 0
-        budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
-        self._check_budget(budget)
+        self._check_budget(memory_budget)
         # the row cap bounds |i| and |i - sigma| in every later edge pass, so
         # _edge_plan refuses here, before any row exists, all that it would refuse there
         for v in (self.v1, self.v2):
             _edge_plan(v, self.imax, self.sigma)
         # a refusal the cells alone force needs no row pass
-        self._check_budget(budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
+        self._check_budget(memory_budget, _min_cells(self.v1, self.v2, self.sigma, symmetric))
         self._compute_rows()
-        self._check_budget(budget)
+        self._check_budget(memory_budget)
         self._points = self._square_points()
         n_pts = len(self._points[0])
         # for a fixed t the partners hit distinct cells, adding at most 8 to each
@@ -568,7 +567,7 @@ def _strict_row_range(table: RepTable) -> int | None:
 
 
 def correlation(field: FieldData, v1, v2, *, include_lambda_zero: bool = True,
-                memory_budget: int | None = None) -> CorrelationResult:
+                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> CorrelationResult:
     """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box, by
     the route _route picks, less the product of lambda = 0 when it is excluded."""
     b1, b2 = make_bound(field, v1), make_bound(field, v2)
@@ -622,29 +621,29 @@ _TABLE_COST = (260_000, 120, 8)
 _STRIP_COST = (105_000, 220, 195)
 
 
-def _route(field: FieldData, b1: Bound, b2: Bound, memory_budget: int | None) -> int:
+def _route(field: FieldData, b1: Bound, b2: Bound, budget: int) -> int:
     """N, lambda = 0 included, by the strip where its estimate is under the
     table's, or where the table refuses the box and the strip does not; else by
     the table. The estimates are exact integers made before any array, and are
     compared as they are: the strip's elements and pairs, the table's row cap
-    and _min_cells. The strip is admitted on its estimate's full charge."""
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
+    and _min_cells. The strip is admitted on its estimate's full charge. When
+    both refuse, one CapacityExceeded names both refusals, the table's first."""
     try:
         n, pairs = _strip_estimate(field, b1, b2, budget)
-    except CapacityExceeded:
-        strip = None
+    except CapacityExceeded as exc:
+        strip, refusal = None, exc
     else:
         s0, s1, s2 = _STRIP_COST
         strip = s0 + s1 * n + s2 * pairs
-    sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+    sigma = field.sigma
     t0, t1, t2 = _TABLE_COST
     rows, cells = _row_cap(b1, b2, sigma) + 1, _min_cells(b1, b2, sigma, _equal_rationals(b1, b2))
     if strip is None or t0 + t1 * rows + t2 * cells <= strip:
         try:
-            table = RepTable(field, b1, b2, memory_budget=memory_budget)
-        except CapacityExceeded:
+            table = RepTable(field, b1, b2, memory_budget=budget)
+        except CapacityExceeded as exc:
             if strip is None:
-                raise
+                raise CapacityExceeded(f"{exc}; {refusal}") from exc
         else:
             return _table_correlation(table)
     return _strip(field, b1, b2, budget)
@@ -656,7 +655,7 @@ def _route(field: FieldData, b1: Bound, b2: Bound, memory_budget: int | None) ->
 
 
 def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool = True,
-                     memory_budget: int | None = None) -> np.ndarray:
+                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> np.ndarray:
     """N_D(V, V) for every integer V = 0..xmax, xmax >= 1, as one int64 array,
     from the table of the box (xmax, xmax), which stores the columns j >= 0 alone.
 
@@ -705,7 +704,7 @@ class FCheckpoint:
 
 def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = None,
                 *, include_lambda_zero: bool = True,
-                memory_budget: int | None = None) -> list[FCheckpoint]:
+                memory_budget: int = DEFAULT_MEMORY_BUDGET) -> list[FCheckpoint]:
     """Deviation suprema on the integer grid V in {1, ..., xmax}, at the given
     checkpoints; by default (None or empty) at every multiple of
     F_CHECKPOINT_STEP up to xmax, or at xmax alone below the first."""
@@ -733,7 +732,7 @@ def f_deviation(field: FieldData, xmax: int, checkpoints: list[int] | None = Non
 
 
 def g_ratio(field: FieldData, v, *, include_lambda_zero: bool = True,
-            memory_budget: int | None = None) -> tuple[int, float]:
+            memory_budget: int = DEFAULT_MEMORY_BUDGET) -> tuple[int, float]:
     """(N, G) for rational v > 1: N = N_D(v, v**(-1/2)) and the thin ratio
     G = N / (C_D sqrt(v))."""
     v = Fraction(v)
@@ -765,9 +764,9 @@ def oracle_guard(field: FieldData, v1, v2) -> tuple[Bound, Bound, int]:
     # the box has P < v1 + v2 <= ceil(v1) + ceil(v2), so all pairs of
     # lambda + 1 (2 P + 4) are within smax: count[lambda + 1] = r(lambda + 1)
     smax = 2 * (b1.ceil() + b2.ceil()) + 4
-    # the work estimate 100 + 4.935 smax^2 / (d p) from the same bound, p = 4 when
-    # d = 1 mod 4 and 16 otherwise, compared in exact integers at any magnitude
-    dp = field.d * (4 if field.ring_class is RingClass.ONE_MOD_FOUR else 16)
+    # the work estimate 100 + 4.935 smax^2 / (d p) from the same bound, p = 16 /
+    # sigma^2, compared in exact integers at any magnitude
+    dp = field.d * 16 // field.sigma**2
     work = 20000 * dp + 987 * smax * smax  # the estimate times 200 d p
     if work > 200 * dp * ORACLE_QUADRUPLE_LIMIT:
         est = Decimal(work) / (200 * dp)
@@ -798,7 +797,6 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     """
     b1, b2, smax = oracle_guard(field, v1, v2)
     d = field.d
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
     # (g, g') reaches P = (n + n')/2 and Q = pq + pq', with n = c1^2 + d c2^2 and
     # pq = c1 c2 for g = (c1 + c2 sqrt d)/2. A lambda whose lambda + 1 is reached
     # has P + 2 <= smax/2, so P < pend; |Q| <= (n + n')/(2 sqrt d) < w
@@ -809,7 +807,7 @@ def correlation_group_oracle(field: FieldData, v1, v2, *,
     # the elements with n <= smax, c1 = c2 (mod 2) when d = 1 mod 4 and both even
     # otherwise, so that n is even; sorted by h = n/2, each with e = h row + pq, so
     # that a pair's key is e + e' - P0 row + w
-    step = 1 if one else 2
+    step = 3 - field.sigma
     m1, m2 = isqrt(smax), isqrt(smax // d)
     c1 = np.arange(m1 % step - m1, m1 + 1, step)
     c2 = np.arange(m2 % step - m2, m2 + 1, step)[:, None]

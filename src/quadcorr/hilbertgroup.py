@@ -21,7 +21,7 @@ from .errors import (
     OutOfRange,
     WrongCongruenceClass,
 )
-from .quadfield import FieldData, QuadInt, RingClass
+from .quadfield import FieldData, QuadInt
 
 
 def _two_products(x: QuadInt, y: QuadInt, z: QuadInt, w: QuadInt,
@@ -236,7 +236,7 @@ def representatives(field: FieldData) -> list[MatO]:
     t = MatO.translation
     one = field.one()
 
-    if field.d % 4 != 1:  # squarefree, so d = 2 or 3 (mod 4)
+    if field.sigma == 1:  # squarefree, so d = 2 or 3 (mod 4)
         eta = field.from_xy(1, 1) if field.d % 4 == 3 else field.sqrt_d()
         return [
             ident,
@@ -283,7 +283,7 @@ def default_generators(field: FieldData) -> list[MatO]:
     inverses so the coset orbit is the full coset space; the five are
     distinct, as mu != 0."""
     one = field.one()
-    mu = field.omega() if field.ring_class is RingClass.ONE_MOD_FOUR else field.sqrt_d()
+    mu = field.omega() if field.sigma == 2 else field.sqrt_d()
     return [
         MatO.s_matrix(field),
         MatO.translation(one),
@@ -333,7 +333,7 @@ def coset_bfs(field: FieldData, depth_limit: int = 8) -> CosetGraph:
         edges=edges,
         closed=True,
         generators=gens,
-        conditional=field.d % 4 != 1,
+        conditional=field.sigma == 1,
     )
 
 
@@ -354,7 +354,7 @@ class ConjugationReport:
 
 
 def _random_element(rng: random.Random, field: FieldData, span: int) -> QuadInt:
-    if field.ring_class is RingClass.ONE_MOD_FOUR:
+    if field.sigma == 2:
         p = rng.randint(-span, span)
         q = rng.randint(-span, span)
         if (p - q) % 2 != 0:

@@ -3,10 +3,10 @@ the field data every other module builds on: the discriminant, the prime
 divisors of d and the table of the Kronecker character chi(n) = (Delta/n).
 
 Elements are stored in doubled coordinates (p, q) meaning (p + q*sqrt(d))/2,
-which gives one code path for both ring shapes:
+which gives one code path for both ring shapes, told apart by FieldData.sigma:
 
-* d = 1 (mod 4):  O = Z[(1+sqrt(d))/2], so p and q share a parity;
-* otherwise:      O = Z[sqrt(d)], so p and q are both even.
+* d = 1 (mod 4), sigma = 2:  O = Z[(1+sqrt(d))/2], so p and q share a parity;
+* otherwise, sigma = 1:      O = Z[sqrt(d)], so p and q are both even.
 
 All comparisons against rational bounds are decided by integer sign
 analysis, never by floating point.
@@ -18,7 +18,6 @@ d is factored or any table allocated; below it, trial division is fast.
 from __future__ import annotations
 
 from collections import OrderedDict
-from enum import Enum
 from functools import total_ordering
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -45,11 +44,6 @@ MAX_DELTA = (2 << 30) // 19
 # field_new keeps the fields whose chi tables fit in one table at the limit
 # together, so a walk over many large fields holds one such table, not dozens
 _FIELD_CACHE_BYTES = MAX_DELTA
-
-
-class RingClass(Enum):
-    ONE_MOD_FOUR = "one_mod_four"
-    OTHER_MOD_FOUR = "other_mod_four"
 
 
 def _sign(x: int) -> int:
@@ -143,22 +137,19 @@ class FieldData:
     instances are shareable across threads.
     """
 
-    __slots__ = ("d", "delta", "ring_class", "_chi", "_c_constant")
+    __slots__ = ("d", "sigma", "delta", "_chi", "_c_constant")
 
     def __init__(self, d: int):
         if d <= 1:
             raise OutOfRange(f"d must be > 1, got {d}")
-        delta = d if d % 4 == 1 else 4 * d
+        sigma = 2 if d % 4 == 1 else 1
+        delta = d if sigma == 2 else 4 * d
         if delta > MAX_DELTA:
             raise CapacityExceeded(f"Delta = {count_text(delta)} exceeds the chi-table limit {MAX_DELTA}")
         primes = check_squarefree(d)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(
-            self,
-            "ring_class",
-            RingClass.ONE_MOD_FOUR if d % 4 == 1 else RingClass.OTHER_MOD_FOUR,
-        )
         object.__setattr__(self, "_chi", chi_table(d, delta, primes))
         object.__setattr__(self, "_c_constant", None)
         self._chi.setflags(write=False)
@@ -244,7 +235,7 @@ class QuadInt:
     __slots__ = ("field", "p", "q")
 
     def __init__(self, field: FieldData, p: int, q: int):
-        if field.ring_class is RingClass.ONE_MOD_FOUR:
+        if field.sigma == 2:
             if (p - q) % 2 != 0:
                 raise InvalidElement(f"(p={p}, q={q}) needs p = q (mod 2) for d = {field.d}")
         else:
@@ -371,7 +362,7 @@ class QuadInt:
         """True iff lambda/2 is again a ring integer."""
         if self.p % 2 != 0 or self.q % 2 != 0:
             return False
-        if self.field.ring_class is RingClass.ONE_MOD_FOUR:
+        if self.field.sigma == 2:
             return (self.p - self.q) % 4 == 0
         return self.p % 4 == 0 and self.q % 4 == 0
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .quadfield import FieldData, QuadInt, RingClass, sign_quad
+from .quadfield import FieldData, QuadInt, sign_quad
 
 # largest enumeration_steps the rcount command runs: at the limit r_sym takes
 # about 0.3 s and r_brute 0.03 s (2-vCPU Xeon, d in {2, 3, 5, 17})
@@ -45,11 +45,10 @@ def _solutions_doubled(field: FieldData, lam: QuadInt) -> list[tuple[int, int, i
     if not _totally_nonnegative(lam):
         return []
     d = field.d
-    one_mod_four = field.ring_class is RingClass.ONE_MOD_FOUR
     S = 2 * lam.p
     Q = lam.q
     out: list[tuple[int, int, int, int]] = []
-    amax, step = isqrt(S), 1 if one_mod_four else 2
+    amax, step = isqrt(S), 3 - field.sigma
     for A in range(amax % step - amax, amax + 1, step):
         SA = S - A * A
         # B = A (mod 2): A is even unless half coordinates exist
@@ -76,7 +75,7 @@ def _solutions_doubled(field: FieldData, lam: QuadInt) -> list[tuple[int, int, i
                 c = isqrt(c2)
                 if c and c * c == c2:
                     E = q // c
-                    if (E - c) % 2 == 0 and (one_mod_four or c % 2 == 0):
+                    if (E - c) % 2 == 0 and c % step == 0:
                         out.append((A, B, -c, -E))
                         out.append((A, B, c, E))
     return out
@@ -92,7 +91,7 @@ def enumeration_steps(field: FieldData, lam: QuadInt) -> int:
     if not _totally_nonnegative(lam):
         return 0
     root = isqrt(2 * lam.p) + 1
-    classes = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 8
+    classes = 8 // field.sigma**2
     return isqrt(16 * root**6 // field.d) // classes
 
 
@@ -127,7 +126,7 @@ def r_sym(field: FieldData, lam: QuadInt) -> int:
         return 0
     d = field.d
     # A and C run over one parity class: all integers with half coordinates, else even
-    step = 1 if field.ring_class is RingClass.ONE_MOD_FOUR else 2
+    step = 3 - field.sigma
     S = 2 * lam.p
     Q = lam.q
 

@@ -42,7 +42,7 @@ class CheckResult:
 
 def _lattice_points(field, box: int):
     """All lambda with 0 <= lambda < box, 0 <= conj < box."""
-    sigma = 2 if field.d % 4 == 1 else 1
+    sigma = field.sigma
     for i in range(0, box * sigma + 1):
         for j in range(-(box * sigma), box * sigma + 1):
             if sigma == 2 and (i - j) % 2:
@@ -55,8 +55,8 @@ def _lattice_points(field, box: int):
             yield lam
 
 
-def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
-                     samples: int = 300, memory_budget: int | None = None) -> list[CheckResult]:
+def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6, samples: int = 300,
+                     memory_budget: int = DEFAULT_MEMORY_BUDGET) -> list[CheckResult]:
     # a smaller value would leave a check with nothing to cover
     for name, value, least in (("dmax", dmax, 2), ("box", box, 1),
                                ("corr_limit", corr_limit, 1), ("samples", samples, 2)):
@@ -141,7 +141,6 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
     # versus the table on the same boxes and on thin ones; without lambda = 0, the
     # routed N, less r(0) r(1), versus the oracle's own exclusion, and r(1) = 4 itself
     bad, off = [], []
-    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     boxes = [(v1, v2) for v1 in range(1, corr_limit + 1) for v2 in range(1, corr_limit + 1)]
     excluded = [(1, 1), (2, 3), (Fraction(7, 2), 2)]
     for d in ring_fields:
@@ -152,7 +151,7 @@ def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6,
                 b = correlation_group_oracle(f, v1, v2)
                 if a != b:
                     bad.append((d, v1, v2, a, b))
-            b = _strip(f, make_bound(f, v1), make_bound(f, v2), budget)
+            b = _strip(f, make_bound(f, v1), make_bound(f, v2), memory_budget)
             if a != b:
                 off.append((d, v1, v2, a, b))
         for v1, v2 in excluded:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CapacityExceeded, count_text
-from .quadfield import FieldData, RingClass, _isqrt
+from .quadfield import FieldData, _isqrt
 
 if TYPE_CHECKING:
     from .corrsum import Bound
@@ -46,12 +46,13 @@ def _strip_charge(elements: int, pairs: int, budget: int) -> None:
                                f"elements, {pairs} pairs) against a budget of {budget}")
 
 
-def _strip_sides(b1: Bound, b2: Bound) -> tuple[Bound, Bound, int, int]:
-    """(b1, b2, f1, f2): the sides, the thinner second, as the strip sorts by it
-    (N(V1, V2) = N(V2, V1), as conjugation maps one box onto the other), and f =
-    floor(2 sqrt(b + 1)) of each; floor(4 b) comes exactly from the bracket at
-    scale 1, and floor(sqrt(x)) = isqrt(floor(x)). Refuses a box past the
-    strip's reach, where its int64 coordinates and keys could wrap."""
+def _strip_sides(field: FieldData, b1: Bound, b2: Bound) -> tuple[Bound, Bound, int, int, range]:
+    """(b1, b2, f1, f2, rows): the sides, the thinner second, as the strip sorts by
+    it (N(V1, V2) = N(V2, V1), as conjugation maps one box onto the other), f =
+    floor(2 sqrt(b + 1)) of each, and the strip's rows c2 >= 0, even unless sigma =
+    2: |c2| sqrt d = |g - g^sigma| < (f1 + f2 + 2)/2. floor(4 b) comes exactly from
+    the bracket at scale 1, and floor(sqrt(x)) = isqrt(floor(x)). Refuses a box past
+    the strip's reach, where its int64 coordinates and keys could wrap."""
     f1, f2 = (isqrt(4 + a // m) for a, m, _ in (b.bracket(4, 1) for b in (b1, b2)))
     if f1 < f2:
         b1, b2, f1, f2 = b2, b1, f2, f1
@@ -60,27 +61,26 @@ def _strip_sides(b1: Bound, b2: Bound) -> tuple[Bound, Bound, int, int]:
     keys = ((f1 + 2) ** 2 + (f2 + 2) ** 2 + 2) * ((f2 + 1) ** 2 // 2 + 11)
     if f1 >= _STRIP_REACH or keys >= 1 << 62 or (f1 + f2 + 4) * (f2 + 4) > 1 << 46:
         raise CapacityExceeded(f"the strip's reach ends before a box side of {count_text(f1)}")
-    return b1, b2, f1, f2
+    rows = range(0, isqrt((f1 + f2 + 2) ** 2 // (4 * field.d)) + 1, 3 - field.sigma)
+    return b1, b2, f1, f2, rows
 
 
 def _strip_estimate(field: FieldData, b1: Bound, b2: Bound, budget: int) -> tuple[int, int]:
     """(elements, pairs) the strip of the box is expected to hold and sweep, in
     exact integers and before any array; CapacityExceeded past its reach, or
     where _strip_charge refuses them with the rows of c2 that _strip makes."""
-    b1, b2, f1, f2 = _strip_sides(b1, b2)
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    b1, b2, f1, f2, rows = _strip_sides(field, b1, b2)
     # the rows c2 >= 0 of the strip's parallelogram |c1 + c2 sqrt d| <= f1 + 1/2,
     # |c1 - c2 sqrt d| <= f2 + 1/2 hold about its area over 2, times the density of
-    # (c1, c2), 1/2 or 1/4, and half a point more each on its edges
-    rows = isqrt((f1 + f2 + 2) ** 2 // (4 * field.d)) // (1 if one else 2) + 1
-    n = (2 * f1 + 1) * (2 * f2 + 1) // isqrt((64 if one else 256) * field.d) + rows // 2
+    # (c1, c2), sigma/4, and half a point more each on its edges
+    n = (2 * f1 + 1) * (2 * f2 + 1) // isqrt(256 // field.sigma**2 * field.d) + len(rows) // 2
     # the windows take (g_t^sigma, g_s^sigma) from a disc of area pi V2 and a ring of
     # area pi min(V2, 1), out of the square of side f2 + 1/2 the elements fill
     a, m, exact = b2.bracket(1, 1 << 20)
     v = a if exact else a + 1  # V2 <= v / m
     sweep = 44 * n * n * (v + min(v, m)) // (7 * m * (2 * f2 + 1) ** 2)
     pairs = min(sweep, n * (n + 1) // 2)
-    _strip_charge(n + rows, pairs, budget)
+    _strip_charge(n + len(rows), pairs, budget)
     return n, pairs
 
 
@@ -114,10 +114,8 @@ def _strip(field: FieldData, b1: Bound, b2: Bound, budget: int) -> int:
     further on. _strip_sides keeps |Q| and the keys within range.
     """
     d = field.d
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
-    b1, b2, f1, f2 = _strip_sides(b1, b2)
-    # |c2| sqrt d = |g - g^sigma| < (f1 + f2 + 2)/2
-    c2 = np.arange(0, isqrt((f1 + f2 + 2) ** 2 // (4 * d)) + 1, 1 if one else 2)
+    b1, b2, f1, f2, rows = _strip_sides(field, b1, b2)
+    c2 = np.arange(rows.start, rows.stop, rows.step)
     u = _isqrt(c2 * c2 * d)
     lo = u - f2
     hi = np.minimum(f1 - u, f2 + u + 1)

@@ -27,7 +27,6 @@ from quadcorr import (
     u_exact,
     u_numeric,
 )
-from quadcorr.quadfield import RingClass
 
 C_TABLE = {
     2: Fraction(8),
@@ -52,7 +51,7 @@ def report(number, name, elapsed, detail=""):
 
 
 def box_lambdas(field, box):
-    sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+    sigma = field.sigma
     for i in range(0, box * sigma + 1):
         for j in range(-box * sigma, box * sigma + 1):
             if sigma == 2:

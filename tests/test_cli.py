@@ -315,6 +315,30 @@ def test_verify_tables_honour_the_memory_budget(capsys):
     assert out == "" and err.startswith("error: table needs") and len(err.splitlines()) == 1
 
 
+def test_both_routes_refused_on_one_stderr_line(capsys):
+    code, out, err = run(capsys, "table-g", "--d", "2", "--v", "40000000000000")
+    assert code == 3
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: table needs about ") and "; strip needs about " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--d", "2", "--v1", "100000", "--v2", "100000"),
+    ("table-f", "--d", "3", "--xmax", "100000"),
+    ("correlate", "--d", "5", "--v1", "100", "--v2", "100", "--format", "json"),
+])
+def test_default_memory_budget_is_two_gib(capsys, argv):
+    """Without --memory-budget the CLI runs and refuses as with 2 GiB, which its
+    refusals print as the budget."""
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--memory-budget", "2147483648")
+    code, out, err = default
+    if "json" in argv:
+        assert code == 0 and err == "" and json.loads(out)["n_value"] > 0
+    else:
+        assert code == 3 and out == "" and "against a budget of 2147483648" in err
+
+
 # a depth limit below 1 is invalid (2); a search that does not close is refused (3)
 @pytest.mark.parametrize("depth, want", [("0", 2), ("-2", 2), ("1", 3)])
 def test_cosets_depth_limit_exit_codes(capsys, depth, want):

@@ -38,7 +38,7 @@ from quadcorr.corrsum import (
     _table_correlation,
     make_bound,
 )
-from quadcorr.quadfield import RingClass, sign_quad
+from quadcorr.quadfield import sign_quad
 from test_repcount import box_lambdas
 
 # one field per class: d = 2, 6 (2 mod 4), 3, 7 (3 mod 4), 5, 13 (5 mod 8), 17, 41 (1 mod 8)
@@ -46,7 +46,7 @@ RING_DS = [2, 6, 3, 7, 5, 13, 17, 41]
 
 
 def _sigma(d):
-    return 2 if d % 4 == 1 else 1
+    return field_new(d).sigma
 
 
 def _convention(n, include_lambda_zero):
@@ -179,7 +179,8 @@ def test_oracle_guard_boundary_matches_the_float_estimate(monkeypatch, d):
     replaced, 100 + 4.935 smax^2 / (d p), on both sides of the limit."""
     limit = 2000
     monkeypatch.setattr(corrsum, "ORACLE_QUADRUPLE_LIMIT", limit)
-    field, p = field_new(d), 4.0 if d % 4 == 1 else 16.0
+    field = field_new(d)
+    p = 16.0 / field.sigma**2
     sides = [Fraction(k, 2) for k in range(1, 400)]
     refused = []
     for v in sides:
@@ -898,7 +899,7 @@ def _reference_oracle(field, v1, v2, *, include_lambda_zero=True):
     b1 = make_bound(field, v1)
     b2 = make_bound(field, v2)
     d = field.d
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    one = field.sigma == 2
     smax = int(2 * (float(b1) + float(b2))) + 4
     cache = {}
     total = 0
@@ -1324,11 +1325,15 @@ def test_route_refuses_a_strip_over_budget_before_it_starts():
     """The strip of the thin box of V = 4 10^13 (table-g --d 2) makes 2.2 million
     rows of c2 beside its 6.9 million estimated elements: the route charges both,
     as _strip does, and refuses the box, which the table refuses too, before the
-    strip makes any array."""
+    strip makes any array. The one CapacityExceeded names both refusals, the
+    table's first, which needs far more than the strip."""
     f2, v = field_new(2), Fraction(4 * 10**13)
     with mock.patch.object(corrsum, "_strip", side_effect=AssertionError("the strip started")):
-        with pytest.raises(CapacityExceeded):
+        with pytest.raises(CapacityExceeded) as refused:
             correlation(f2, v, InvSqrtBound(2, v))
+    table, strip = str(refused.value).split("; ")
+    assert table.startswith("table needs about ") and strip.startswith("strip needs about ")
+    assert int(table.split()[3]) > 10**6 * int(strip.split()[3])
 
 
 class _Took(Exception):

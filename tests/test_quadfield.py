@@ -13,7 +13,6 @@ from quadcorr import (
     InvalidElement,
     NotSquarefree,
     OutOfRange,
-    RingClass,
     field_new,
 )
 from quadcorr import quadfield
@@ -22,7 +21,7 @@ from quadcorr.quadfield import check_squarefree, chi_table
 
 def make_elem(field, p, q):
     """Snap (p, q) to the nearest valid doubled coordinates."""
-    if field.ring_class is RingClass.ONE_MOD_FOUR:
+    if field.sigma == 2:
         if (p - q) % 2:
             p += 1
         return field.element(p, q)
@@ -34,18 +33,30 @@ field_ds = st.sampled_from([2, 3, 5, 6, 7, 13, 17])
 
 
 def test_field_new_examples():
-    f2 = field_new(2)
-    assert f2.delta == 8
-    assert f2.ring_class is RingClass.OTHER_MOD_FOUR
-    f5 = field_new(5)
-    assert f5.delta == 5
-    assert f5.ring_class is RingClass.ONE_MOD_FOUR
+    assert field_new(2).delta == 8
+    assert field_new(5).delta == 5
     with pytest.raises(NotSquarefree):
         field_new(12)
     with pytest.raises(OutOfRange):
         field_new(1)
     with pytest.raises(OutOfRange):
         field_new(0)
+
+
+# two squarefree d of each class mod 8: 1, 2, 3, 5, 6, 7
+@pytest.mark.parametrize("d", [17, 10001, 2, 10, 3, 10003, 5, 13, 6, 14, 7, 23])
+def test_sigma_fixes_the_ring(d):
+    """sigma = 2 exactly when d = 1 (mod 4): then O = Z[(1 + sqrt d)/2] holds
+    (1 + sqrt d)/2 and Delta = d, else O = Z[sqrt d] and Delta = 4d."""
+    field = field_new(d)
+    assert field.sigma == (2 if d % 4 == 1 else 1)
+    if field.sigma == 2:
+        assert field.element(1, 1).p == 1
+        assert field.delta == d
+    else:
+        with pytest.raises(InvalidElement):
+            field.element(1, 1)
+        assert field.delta == 4 * d
 
 
 def _reference_prime_divisors(d):
@@ -210,7 +221,7 @@ def test_parity_invariant_random(d, p, q):
     try:
         elem = field.element(p, q)
     except InvalidElement:
-        if field.ring_class is RingClass.ONE_MOD_FOUR:
+        if field.sigma == 2:
             assert (p - q) % 2 == 1
         else:
             assert p % 2 or q % 2

@@ -5,13 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcorr import field_new, r_brute, r_sym, two_square_solutions
-from quadcorr.quadfield import RingClass
 from quadcorr.repcount import _signed_range, enumeration_steps
 
 
 def box_lambdas(field, box):
     """All lambda with 0 <= lambda < box and 0 <= conj(lambda) < box."""
-    sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+    sigma = field.sigma
     for i in range(0, box * sigma + 1):
         for j in range(-box * sigma, box * sigma + 1):
             if sigma == 2:
@@ -116,8 +115,7 @@ def test_rational_integers_agree(d, n):
 def _ellipsoid_triples(field, S):
     """The (A, B, C) that r_brute visits: A^2 + d B^2 + C^2 <= S, all even,
     or with A = B (mod 2) when half coordinates exist."""
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
-    step = 1 if one else 2
+    step = 3 - field.sigma
     count = 0
     for A in range(-(isqrt(S) // step) * step, isqrt(S) + 1, step):
         for B in range(-isqrt(S // field.d) - 1, isqrt(S // field.d) + 2):
@@ -143,7 +141,7 @@ def _reference_solutions(field, lam):
     if lam.sign() < 0 or lam.conj().sign() < 0:
         return []
     d = field.d
-    one = field.ring_class is RingClass.ONE_MOD_FOUR
+    one = field.sigma == 2
     S, Q = 2 * lam.p, lam.q
 
     def signed(m, parity):
@@ -190,7 +188,7 @@ def _assert_matches_reference(field, lam):
 @settings(max_examples=300, deadline=None)
 def test_solutions_match_reference_enumeration(d, data):
     field = field_new(d)
-    sigma = 2 if field.ring_class is RingClass.ONE_MOD_FOUR else 1
+    sigma = field.sigma
     # lambda = (i + j sqrt d)/sigma, mostly near the totally positive cone
     i = data.draw(st.integers(-4, 90 * sigma))
     j = data.draw(st.integers(-(abs(i) // isqrt(d) + 2), abs(i) // isqrt(d) + 2))
