@@ -10,8 +10,8 @@ rational forms, large denominators, whose row edges take an inexact
 bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
 table and axis cells for the product walk, a full and a symmetric table's
 `--dump-table` and that of a box the strip route takes, and refusals of a
-missing CSV form, a nonpositive bound and a box that one route's guard
-refuses after the other's passes; covolumes
+missing CSV form, a nonpositive bound, a nonpositive memory budget and a
+box that one route's guard refuses after the other's passes; covolumes
 whose L(2, chi) sums wrap past Delta, long chi listings and a prime-Delta chi
 table; representation counts on the axis of each ring class, the coset sets
 of d = 2 and 3 (mod 4), thin boxes, among them boxes that the strip route
@@ -60,6 +60,9 @@ EXTRA = [
     ["correlate", "--d", "5", "--v1", "3", "--v2=-1/2", "--oracle", "group"],
     ["correlate", "--d", "2", "--v1", "1900", "--v2", "1900", "--oracle", "group",
      "--memory-budget", "1000"],
+    # a budget of no bytes, where a table would be built and where none is
+    ["correlate", "--d", "5", "--v1", "3", "--v2", "3", "--memory-budget", "-5"],
+    ["rcount", "--d", "2", "--x", "3", "--y", "1", "--memory-budget", "0"],
     # tables of 2-3 bands: symmetric, full storage with integer bounds, the F grid
     ["correlate", "--d", "5", "--v1", "3000", "--v2", "3000", "--exclude-lambda-zero"],
     ["correlate", "--d", "13", "--v1", "4000", "--v2", "2500"],

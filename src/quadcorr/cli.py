@@ -55,6 +55,17 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _budget(text: str) -> int:
+    """A memory budget: a positive int of bytes."""
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"not a positive number of bytes: {text[:40]!r}")
+    return value
+
+
 def _emit(args, payload: dict, text_lines: list[str], csv_rows=None) -> None:
     """Print the payload in the form --format names; the parser offers csv only
     to the subcommands that pass csv_rows."""
@@ -280,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it unchanged,
     so every call of main reuses it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET,
+    common.add_argument("--memory-budget", type=_budget, default=DEFAULT_MEMORY_BUDGET,
                         help="table memory budget in bytes")
 
     parser = argparse.ArgumentParser(

@@ -253,6 +253,12 @@ def _equal_rationals(v1: Bound, v2: Bound) -> bool:
     return isinstance(v1, RationalBound) and isinstance(v2, RationalBound) and v1.value == v2.value
 
 
+def _require_positive_budget(budget: int) -> None:
+    """Refuse a budget of no bytes, or fewer, as invalid input rather than as capacity."""
+    if budget <= 0:
+        raise OutOfRange("the memory budget must be a positive number of bytes")
+
+
 # ---------------------------------------------------------------------------
 # The accumulation table.
 # ---------------------------------------------------------------------------
@@ -277,6 +283,7 @@ class RepTable:
 
     def __init__(self, field: FieldData, v1, v2, *, symmetric: bool | None = None,
                  memory_budget: int = DEFAULT_MEMORY_BUDGET):
+        _require_positive_budget(memory_budget)
         self.field = field
         self.sigma = field.sigma
         self.v1 = make_bound(field, v1)
@@ -385,7 +392,18 @@ class RepTable:
     def _build(self, walk=None) -> None:
         """Accumulate the cells one band of whole columns at a time into one buffer,
         flat: without walk the whole table is one band, with walk each band is handed
-        to walk(k0, cells) as the table's cells k0, k0 + 1, ..."""
+        to walk(k0, cells) as the table's cells k0, k0 + 1, ...
+
+        A swept pair {t, s} of nonzero points lands on column c = u[t] + u[s] - u0
+        (u = j >> (2 - sigma)) and row ii = i[t] + i[s], which one packed int64 key
+        carries: with key = (u << 32) + i for every point and, for the band of columns
+        [a, b), tkey = key - ((u0 + a) << 32), the pair's v = key[s] + tkey[t] is
+        ((c - a) << 32) + ii. A pair's row has 0 <= ii <= 2 imax < 2^31, as _edge_plan
+        refuses rows reaching 2^30, so v >> 32 = c - a; with |ihi| < 2^32 and c - a <
+        2^31 nothing wraps, v <= lim[c - a] = ((c - a) << 32) + ihi[c] holds iff ii <=
+        ihi[c], and v + off[c - a] = sigma (col_start[c] - k0) + ii - i0[c] is sigma
+        times the pair's place in the band. A negative u needs no offset: key >> 32
+        floors, so it gives u back, and the sums are exact."""
         si, sj, sw = self._points
         dtype, sigma, start = self.dtype, self.sigma, self.col_start
         # a pair {t, s} adds 2 sw_t sw_s = 8 unless s = t, which adds sw_t^2 to
@@ -396,10 +414,9 @@ class RepTable:
         for ii, jj, w in ((2 * si, 2 * sj, sw * sw), (si[nz], sj[nz], 2 * sw[nz])):
             stored, k = self._locate(ii, jj)
             single.append((k[stored], w[stored].astype(dtype)))
-        order = np.lexsort((si[nz], sj[nz]))
-        si, sj = si[nz][order], sj[nz][order]
-        # xi_t^2 + xi_s^2 is on column c = u[t] + u[s] - u0, at (off[c] + i) >> (sigma - 1)
-        u, u0, after = sj >> (2 - sigma), self.j0 >> (2 - sigma), np.arange(1, len(si) + 1)
+        # sorted, the keys order the points by j, then i
+        key = np.sort(((sj[nz] >> (2 - sigma)) << 32) + si[nz])
+        u, u0, after = key >> 32, self.j0 >> (2 - sigma), np.arange(1, len(key) + 1)
         # a band's cells at most, unless one column has more: the whole table, or for a walk
         # _BAND_CELLS; a band takes the whole columns from a on that fit, at least one
         band = self.cells if walk is None else _BAND_CELLS
@@ -417,29 +434,37 @@ class RepTable:
             # the partners of t on the band's columns: s in [lo[t], lo[t] + n[t]), s > t
             lo = np.maximum(np.searchsorted(u, a + u0 - u), after)
             n = np.maximum(np.searchsorted(u, b + u0 - u) - lo, 0)
-            ends, off = np.cumsum(n), sigma * (start[:-1] - k0) - self.i0
+            ends = np.cumsum(n)
+            tkey = key - ((u0 + a) << 32)
+            high = np.arange(0, (b - a) << 32, 1 << 32)  # (c - a) << 32
+            lim = high + self.ihi[a:b]
+            off = sigma * (start[a:b] - k0) - self.i0[a:b] - high
             t0 = done = 0
             while t0 < len(n) and done < ends[-1]:
                 # the points from t0 on with at least _BATCH_PAIRS pairs, their partners s
-                # in one ragged arange; np.add.at adds a repeated cell each time. In place,
-                # so that at most three arrays of pairs are alive at once
+                # in one ragged arange; np.add.at adds a repeated cell each time. Each array
+                # is released once used, so that at most three arrays of pairs are alive at once
                 t1 = min(int(np.searchsorted(ends, done + _BATCH_PAIRS)) + 1, len(n))
                 m = n[t0:t1]
                 s = np.repeat(lo[t0:t1] + m - (ends[t0:t1] - done), m)
                 s += np.arange(len(s))
-                c = u[s]
-                c += np.repeat(u[t0:t1] - u0, m)
-                s = si[s]  # the pair's row ii, then its cell
-                s += np.repeat(si[t0:t1], m)
+                v = key.take(s)
+                s = None
+                v += np.repeat(tkey[t0:t1], m)
+                c = v >> 32
                 # ii >= i0[c] needs no test: a sum of two squares is totally nonnegative,
                 # so row ii has top = floor(ii / sqrt d) >= |jj|, and i0[c] is the first
                 # row of jj's parity with top >= |jj| (_compute_rows)
-                keep = s <= self.ihi[c]
-                s += off[c]
-                s >>= sigma - 1
-                np.add.at(cells, s[keep], eight)
+                keep = v <= lim.take(c)
+                v += off.take(c)
+                c = None
+                v = v.compress(keep)
+                keep = None
+                if sigma == 2:
+                    v >>= 1
+                np.add.at(cells, v, eight)
                 t0, done = t1, int(ends[t1 - 1])
-            s = c = keep = None  # the last batch's arrays go before the walk
+            v = None  # the last batch's pairs go before the walk
             if walk is not None:
                 walk(k0, cells)
             a = b
@@ -570,6 +595,7 @@ def correlation(field: FieldData, v1, v2, *, include_lambda_zero: bool = True,
                 memory_budget: int = DEFAULT_MEMORY_BUDGET) -> CorrelationResult:
     """N_D(v1, v2) = sum of r(lambda) r(lambda + 1) over the half-open box, by
     the route _route picks, less the product of lambda = 0 when it is excluded."""
+    _require_positive_budget(memory_budget)
     b1, b2 = make_bound(field, v1), make_bound(field, v2)
     n = _route(field, b1, b2, memory_budget) - (0 if include_lambda_zero else _R0_R1)
     c = c_constant(field)

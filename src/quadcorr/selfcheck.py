@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .character import c_constant, covolume, index_gamma, kronecker
-from .corrsum import (DEFAULT_MEMORY_BUDGET, InvSqrtBound, RepTable, _table_correlation,
-                      correlation, correlation_group_oracle, make_bound)
+from .corrsum import (DEFAULT_MEMORY_BUDGET, InvSqrtBound, RepTable, _require_positive_budget,
+                      _table_correlation, correlation, correlation_group_oracle, make_bound)
 from .errors import NotSquarefree, OutOfRange, ScaleGuard, count_text
 from .hilbertgroup import (
     coset_bfs,
@@ -57,6 +57,7 @@ def _lattice_points(field, box: int):
 
 def run_verification(*, dmax: int = 200, box: int = 10, corr_limit: int = 6, samples: int = 300,
                      memory_budget: int = DEFAULT_MEMORY_BUDGET) -> list[CheckResult]:
+    _require_positive_budget(memory_budget)
     # a smaller value would leave a check with nothing to cover
     for name, value, least in (("dmax", dmax, 2), ("box", box, 1),
                                ("corr_limit", corr_limit, 1), ("samples", samples, 2)):

@@ -339,6 +339,21 @@ def test_default_memory_budget_is_two_gib(capsys, argv):
         assert code == 3 and out == "" and "against a budget of 2147483648" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ("correlate", "--d", "5", "--v1", "3", "--v2", "3"),
+    ("rcount", "--d", "2", "--x", "3", "--y", "1"),
+    ("table-f", "--d", "2", "--xmax", "10"),
+    ("verify",),
+])
+def test_nonpositive_memory_budget_is_a_usage_error(argv, budget):
+    """--memory-budget takes a positive int of bytes on every subcommand, also
+    where no table is built: anything else is a usage error, not a capacity refusal."""
+    code, out, err = _call([*argv, "--memory-budget", budget])
+    assert code == 2 and out == ""
+    assert f"--memory-budget: not a positive number of bytes: '{budget}'" in err
+
+
 # a depth limit below 1 is invalid (2); a search that does not close is refused (3)
 @pytest.mark.parametrize("depth, want", [("0", 2), ("-2", 2), ("1", 3)])
 def test_cosets_depth_limit_exit_codes(capsys, depth, want):
@@ -502,6 +517,7 @@ def _argv(draw):
 @given(_argv())
 @settings(max_examples=300, deadline=None)
 @example(["correlate", "--d", "2", "--v1", "2", "--v2", "2", "--dump-table", "/nonexistent/x.csv"])
+@example(["correlate", "--d", "5", "--v1", "3", "--v2", "3", "--memory-budget", "-5"])
 # thin shapes whose route estimates must stay in exact integers past float range
 @example(["table-g", "--d", "2", "--v", "1" + "0" * 400])
 @example(["correlate", "--d", "3", "--v1", "7/2", "--v2", "1e-400"])

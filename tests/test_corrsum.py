@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadcorr import corrsum, strip
+from quadcorr import corrsum, selfcheck, strip
 from quadcorr import (
     CapacityExceeded,
     InvSqrtBound,
@@ -28,6 +28,7 @@ from quadcorr import (
     field_new,
     g_ratio,
     r_brute,
+    run_verification,
 )
 from quadcorr.corrsum import (
     RationalBound,
@@ -248,6 +249,26 @@ def test_grid_and_f_refuse_xmax_below_one(xmax):
     for run in (correlation_grid, f_deviation):
         with pytest.raises(OutOfRange, match="xmax must be >= 1"):
             run(field_new(2), xmax)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_nonpositive_memory_budget_is_out_of_range(budget, monkeypatch):
+    """A budget of no bytes is invalid input, refused before any work: every box
+    here is past any budget, so a check after the first guard would refuse it as
+    capacity, and the battery of run_verification does not start."""
+    f2 = field_new(2)
+    calls = [
+        lambda: RepTable(f2, 10**9, 10**9, memory_budget=budget),
+        lambda: correlation(f2, 10**9, 10**9, memory_budget=budget),
+        lambda: correlation_grid(f2, 10**9, memory_budget=budget),
+        lambda: f_deviation(f2, 10**9, memory_budget=budget),
+        lambda: g_ratio(f2, 10**30, memory_budget=budget),
+        lambda: run_verification(memory_budget=budget),
+    ]
+    monkeypatch.setattr(selfcheck, "field_new", mock.Mock(side_effect=AssertionError))
+    for call in calls:
+        with pytest.raises(OutOfRange, match="memory budget must be a positive"):
+            call()
 
 
 def test_f_deviation_small_values():
@@ -635,6 +656,12 @@ def _sides(d, symmetric, data):
 @example(d=17, symmetric=False, data=(Fraction(7), Fraction(14)))
 @example(d=3, symmetric=False, data=(Fraction(13), Fraction(27, 2)))
 @example(d=2, symmetric=True, data=(Fraction(15), Fraction(15)))
+# _build packs a pair's row into the low 32 bits of its key: here swept pairs land
+# on stored rows past 2^16 (imax = 70,000, and 70,001 on d = 5 with sigma = 2), on
+# columns j >= 0 and, for d = 3, on columns down to j0 = -40,414
+@example(d=2, symmetric=False, data=(Fraction(140000), InvSqrtBound(2, Fraction(140000))))
+@example(d=5, symmetric=False, data=(Fraction(70000), InvSqrtBound(5, Fraction(70000))))
+@example(d=3, symmetric=False, data=(Fraction(1, 3), Fraction(140000)))
 def test_build_matches_reference_accumulation(d, symmetric, data):
     field = field_new(d)
     v1, v2 = _sides(d, symmetric, data)
