@@ -9,9 +9,11 @@ seeds 1 and 2, and a few calls that the workloads leave out: text, CSV and
 rational forms, large denominators, whose row edges take an inexact
 bracket, tables of several column bands (`corrsum._BAND_CELLS`), an int32
 table and axis cells for the product walk, a full and a symmetric table's
-`--dump-table` and that of a box the strip route takes, and refusals of a
-missing CSV form, a nonpositive bound, a nonpositive memory budget and a
-box that one route's guard refuses after the other's passes; covolumes
+`--dump-table`, that of a box the strip route takes, and those of a table
+whose thinner side comes first and of a large denominator, whose square
+points come from the strip's row intervals, and refusals of a missing CSV
+form, a nonpositive bound, a nonpositive memory budget and a box that one
+route's guard refuses after the other's passes; covolumes
 whose L(2, chi) sums wrap past Delta, long chi listings and a prime-Delta chi
 table; representation counts on the axis of each ring class, the coset sets
 of d = 2 and 3 (mod 4), thin boxes, among them boxes that the strip route
@@ -104,6 +106,11 @@ EXTRA = [
     ["correlate", "--d", "3", "--v1", "1/2", "--v2", "40"],
     # a dump of a box whose N the strip takes: the table is written, dropped, then routed
     ["correlate", "--d", "5", "--v1", "3", "--v2", "4",
+     "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
+    # the square points of a table whose thinner side comes first, and of a large denominator
+    ["correlate", "--d", "3", "--v1", "1/1000", "--v2", "20000",
+     "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
+    ["correlate", "--d", "2", "--v1", "3000", "--v2", "1/1000000007",
      "--dump-table", "/tmp/quadcorr-same-output-table.csv"],
     # strip-routed boxes without lambda = 0, and a thin box refused by both routes
     ["table-g", "--d", "5", "--v", "3000", "8000", "--exclude-lambda-zero", "--format", "json"],

@@ -46,7 +46,7 @@ import numpy as np
 from .character import c_constant
 from .errors import CapacityExceeded, OutOfRange, ScaleGuard, count_text
 from .quadfield import FieldData, QuadInt, _isqrt, sign_quad
-from .strip import _strip, _strip_estimate
+from .strip import _ring_rows, _sides, _strip, _strip_estimate
 
 DEFAULT_MEMORY_BUDGET = 2 << 30
 ORACLE_QUADRUPLE_LIMIT = 10_000_000
@@ -369,21 +369,14 @@ class RepTable:
     # -- population -------------------------------------------------------
 
     def _square_points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Distinct squares xi^2 inside the window as (i, j, multiplicity),
-        one representative per {xi, -xi} pair."""
-        d, sigma = self.field.d, self.sigma
-        # xi = (A + B sqrt d)/2 with A = B (mod 2), both even unless sigma = 2,
-        # has xi^2 in the cell (sigma (A^2 + d B^2)/4, sigma A B/2), row <= imax;
-        # when A, B > 0 its twin (A - B sqrt d)/2 follows it with -j
-        reach = 4 * self.imax // sigma
-        A, B = np.meshgrid(np.arange(0, isqrt(reach) + 1, 3 - sigma),
-                           np.arange(isqrt(reach // d) + 1), indexing="ij")
-        keep = ((A - B) % 2 == 0) & (A * A + d * B * B <= reach)
-        A, B = A[keep], B[keep]
-        twin = (A > 0) & (B > 0)
-        si = np.repeat(sigma * (A * A + d * B * B) // 4, 1 + twin)
-        sj = np.repeat(sigma * A * B // 2, 1 + twin)
-        sj[np.cumsum(1 + twin)[twin] - 1] *= -1
+        """Distinct squares xi^2 inside the window, xi^2 <= v1 + 1 and (xi^sigma)^2 <= v2
+        + 1, as (i, j, multiplicity): xi = (c1 + c2 sqrt d)/2 of _ring_rows, one per
+        {xi, -xi}, has xi^2 in the cell (sigma (c1^2 + d c2^2)/4, sigma c1 c2/2)."""
+        c2, lo, n = _ring_rows(self.field, *_sides(self.field, self.v1, self.v2))
+        c1 = np.repeat(lo - 2 * (np.cumsum(n) - n), n) + 2 * np.arange(int(n.sum()))
+        c2 = np.repeat(c2, n)
+        si = self.sigma * (c1 * c1 + self.field.d * c2 * c2) // 4
+        sj = self.sigma * c1 * c2 // 2
         sw = np.where(si > 0, 2, 1)
         # the window is mirror-symmetric in symmetric storage
         inside, _ = self._locate(si, np.abs(sj) if self.symmetric else sj)
@@ -557,27 +550,20 @@ class CorrelationResult:
 
 
 def _walk(table: RepTable, visit) -> None:
-    """Hand the products r(lambda) r(lambda + 1) to visit(k0, x, w, skip) band by
-    band, x the cells k0, k0 + 1, ... of whole columns: the product of x[k] is
-    x[k] x[k + 1], lambda + 1 being the next cell of the column, and counts w times,
-    but not at a column's last cell (x[-1] is one), whose lambda + 1 is outside the
-    window, nor at skip, the int64 array of the band's positions of the edge cell
-    (_strict_row_range). A symmetric table's cells with j > 0 stand for their mirrors
-    -j too: from col_start[1] on, after the column j = 0, w = 2. The bands are _build's,
-    handed on as it makes them, also when the whole table was built before."""
-    start, sigma, i = table.col_start, table.sigma, _strict_row_range(table)
-    zero = int(start[-table.j0 >> (2 - sigma)])  # lambda = 0, first in the column j = 0
-    # the edge cell (i, 0) is on the ring when i = 0 (mod sigma), and never its column's
-    # last: its lambda + 1 <= min(V1, V2) + 1 is in the window
-    skip = np.array([zero + i // sigma] if i is not None and i % sigma == 0 else [],
-                    dtype=np.int64)
-    seam = int(start[1]) if table.symmetric else 0
+    """Hand the products r(lambda) r(lambda + 1) to visit(k0, x, w) band by band, x
+    the cells k0, k0 + 1, ... of whole columns: the product of x[k] is x[k] x[k + 1],
+    lambda + 1 being the next cell of the column, and counts w times, but not at a
+    column's last cell (x[-1] is one), whose lambda + 1 is outside the window. A
+    symmetric table's cells with j > 0 stand for their mirrors -j too: from
+    col_start[1] on, after the column j = 0, w = 2. The bands are _build's, handed on
+    as it makes them, also when the whole table was built before."""
+    seam = int(table.col_start[1]) if table.symmetric else 0
 
     def band(k0: int, cells: np.ndarray) -> None:
         k1 = k0 + len(cells)
         for a, b, w in ((k0, min(k1, seam), 1), (max(k0, seam), k1, 1 + table.symmetric)):
             if b > a:
-                visit(a, cells[a - k0:b - k0], w, skip[(a <= skip) & (skip < b)] - a)
+                visit(a, cells[a - k0:b - k0], w)
 
     table._build(band)
 
@@ -615,10 +601,15 @@ def correlation(field: FieldData, v1, v2, *, include_lambda_zero: bool = True,
 
 def _table_correlation(table: RepTable) -> int:
     """N, lambda = 0 included, over the half-open box of the table's bounds."""
-    ends = table.col_start[1:][table.ihi >= table.i0] - 1  # each nonempty column's last cell
+    start, sigma, i = table.col_start, table.sigma, _strict_row_range(table)
+    cuts = start[1:][table.ihi >= table.i0] - 1  # each nonempty column's last cell
+    # and the edge cell (i, 0), i // sigma cells after lambda = 0 in the column j = 0, if on
+    # the ring: never its column's last, as its lambda + 1 <= min(V1, V2) + 1 is in the window
+    if i is not None and i % sigma == 0:
+        cuts = np.sort(np.append(cuts, start[-table.j0 >> (2 - sigma)] + i // sigma))
     total = 0
 
-    def add(k0: int, x: np.ndarray, w: int, skip: np.ndarray) -> None:
+    def add(k0: int, x: np.ndarray, w: int) -> None:
         nonlocal total
         # n products a dot, each at most m^2 for the largest cell m, keep every int64
         # partial sum within n m^2 < 2^63, so no dot wraps; a uint16 cell allows _WALK_CELLS
@@ -628,8 +619,8 @@ def _table_correlation(table: RepTable) -> int:
         for a in range(0, len(x) - 1, n):
             y = x[a:a + n + 1].astype(np.int64)
             s += int(np.dot(y[:-1], y[1:]))
-        # less the products at the column ends and at the edge cell, one gathered dot
-        e = np.append(ends[ends.searchsorted(k0):ends.searchsorted(k0 + len(x) - 1)] - k0, skip)
+        # less the products at the cuts, one gathered dot
+        e = cuts[cuts.searchsorted(k0):cuts.searchsorted(k0 + len(x) - 1)] - k0
         y, z = x.take(e).astype(np.int64), x[1:].take(e)
         for a in range(0, len(e), n):
             s -= int(np.dot(y[a:a + n], z[a:a + n]))
@@ -702,8 +693,7 @@ def correlation_grid(field: FieldData, xmax: int, *, include_lambda_zero: bool =
     shift = ((table.i0 + fl) // table.sigma + 1 - table.col_start[:-1]).tolist()
     starts = table.col_start.tolist()
 
-    def bucket(k0: int, x: np.ndarray, w: int, skip: np.ndarray) -> None:
-        # skip goes unused: the edge cell, lambda = xmax, is in bucket xmax + 1, off the grid
+    def bucket(k0: int, x: np.ndarray, w: int) -> None:
         out = buckets[w - 1]
         # a slice per column, short of its last cell; none past the grid
         for c in range(bisect_left(starts, k0), bisect_left(starts, k0 + len(x))):

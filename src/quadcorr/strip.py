@@ -46,14 +46,36 @@ def _strip_charge(elements: int, pairs: int, budget: int) -> None:
                                f"elements, {pairs} pairs) against a budget of {budget}")
 
 
-def _strip_sides(field: FieldData, b1: Bound, b2: Bound) -> tuple[Bound, Bound, int, int, range]:
-    """(b1, b2, f1, f2, rows): the sides, the thinner second, as the strip sorts by
-    it (N(V1, V2) = N(V2, V1), as conjugation maps one box onto the other), f =
-    floor(2 sqrt(b + 1)) of each, and the strip's rows c2 >= 0, even unless sigma =
-    2: |c2| sqrt d = |g - g^sigma| < (f1 + f2 + 2)/2. floor(4 b) comes exactly from
-    the bracket at scale 1, and floor(sqrt(x)) = isqrt(floor(x)). Refuses a box past
-    the strip's reach, where its int64 coordinates and keys could wrap."""
+def _sides(field: FieldData, b1: Bound, b2: Bound) -> tuple[int, int, range]:
+    """(f1, f2, rows): f = floor(2 sqrt(b + 1)) of each side, as floor(4 b) comes exactly
+    from the bracket at scale 1 and floor(sqrt(x)) = isqrt(floor(x)), and the rows c2 >= 0
+    of _ring_rows, even unless sigma = 2: |c2| sqrt d = |g - g^sigma| < (f1 + f2 + 2)/2."""
     f1, f2 = (isqrt(4 + a // m) for a, m, _ in (b.bracket(4, 1) for b in (b1, b2)))
+    return f1, f2, range(0, isqrt((f1 + f2 + 2) ** 2 // (4 * field.d)) + 1, 3 - field.sigma)
+
+
+def _ring_rows(field: FieldData, f1: int, f2: int, rows: range) -> tuple[np.ndarray, ...]:
+    """(c2, lo, n): the ring elements g = (c1 + c2 sqrt d)/2 with g^2 <= B1 and (g^sigma)^2
+    <= B2, B = b + 1 of the sides of _sides (c1 = c2 mod 2 when d = 1 mod 4, both even
+    otherwise), one of each +-g (c2 > 0, or c2 = 0 and c1 >= 0), by its rows: row c2 holds
+    the n elements c1 = lo, lo + 2, ..., and the first row, c2 = 0, starts at g = 0.
+    With u = floor(c2 sqrt d), |c1 +- c2 sqrt d| <= 2 sqrt B put c1 in [max(u - f2, -f1
+    - u - 1), min(f1 - u, f2 + u + 1)], for either order of the sides, with at most one
+    more element at each end."""
+    c2 = np.arange(rows.start, rows.stop, rows.step)
+    u = _isqrt(c2 * c2 * field.d)
+    lo = np.maximum(u - f2, -f1 - u - 1)
+    hi = np.minimum(f1 - u, f2 + u + 1)
+    lo[0] = max(int(lo[0]), 0)  # c2 = 0: c1 >= 0
+    lo += (lo - c2) % 2  # c1 = c2 (mod 2), and c2 is even when c1 must be
+    return c2, lo, np.maximum((hi - lo) // 2 + 1, 0)
+
+
+def _strip_sides(field: FieldData, b1: Bound, b2: Bound) -> tuple[Bound, Bound, int, int, range]:
+    """(b1, b2, f1, f2, rows) of _sides, the thinner side second, as the strip sorts by
+    it (N(V1, V2) = N(V2, V1), as conjugation maps one box onto the other). Refuses a
+    box past the strip's reach, where its int64 coordinates and keys could wrap."""
+    f1, f2, rows = _sides(field, b1, b2)
     if f1 < f2:
         b1, b2, f1, f2 = b2, b1, f2, f1
     # |c1 c2| sqrt d = |g^2 - (g^sigma)^2|, so |Q| <= ((f1 + 2)^2 + (f2 + 2)^2) / 2, and
@@ -61,7 +83,6 @@ def _strip_sides(field: FieldData, b1: Bound, b2: Bound) -> tuple[Bound, Bound, 
     keys = ((f1 + 2) ** 2 + (f2 + 2) ** 2 + 2) * ((f2 + 1) ** 2 // 2 + 11)
     if f1 >= _STRIP_REACH or keys >= 1 << 62 or (f1 + f2 + 4) * (f2 + 4) > 1 << 46:
         raise CapacityExceeded(f"the strip's reach ends before a box side of {count_text(f1)}")
-    rows = range(0, isqrt((f1 + f2 + 2) ** 2 // (4 * field.d)) + 1, 3 - field.sigma)
     return b1, b2, f1, f2, rows
 
 
@@ -85,17 +106,11 @@ def _strip_estimate(field: FieldData, b1: Bound, b2: Bound, budget: int) -> tupl
 
 
 def _strip(field: FieldData, b1: Bound, b2: Bound, budget: int) -> int:
-    """N over the half-open box of (b1, b2), lambda = 0 included, from the pairs
-    of ring elements g = (c1 + c2 sqrt d)/2 (c1 = c2 mod 2 when d = 1 mod 4, both
-    even otherwise) with g^2 <= B1 = b1 + 1 and (g^sigma)^2 <= B2 = b2 + 1: every
-    pair of squares summing to a lambda of the box or to its lambda + 1 is made of them.
-
-    Elements. With f = floor(2 sqrt B) and u = floor(c2 sqrt d), the row c2 >= 0
-    holds the c1 with |c1 + c2 sqrt d| <= 2 sqrt B1 and |c1 - c2 sqrt d| <= 2 sqrt B2,
-    all within [u - f2, min(f1 - u, f2 + u + 1)]; the extra ones only add pairs
-    whose sums the box test rejects. One of each +-g is kept (c2 > 0,
-    or c2 = 0 and c1 >= 0), and a pair of distinct elements counts 8, a pair
-    {g, g} 4, and g = 0 with another 4 (with itself 1), as in RepTable._build.
+    """N over the half-open box of (b1, b2), lambda = 0 included, from the pairs of
+    the box's ring elements (_ring_rows): every pair of squares summing to a lambda of
+    the box or to its lambda + 1 is made of them, and the extra elements only add pairs
+    whose sums the box test rejects. A pair of distinct elements counts 8, a pair {g, g}
+    4, and g = 0 with another 4 (with itself 1), as in RepTable._build.
 
     Windows. The elements are sorted by c = (g^sigma)^2 in floats, and the pairs
     s >= t swept are those with c_s + c_t < V2 (lambda) or in [1, 1 + V2) (lambda +
@@ -115,18 +130,12 @@ def _strip(field: FieldData, b1: Bound, b2: Bound, budget: int) -> int:
     """
     d = field.d
     b1, b2, f1, f2, rows = _strip_sides(field, b1, b2)
-    c2 = np.arange(rows.start, rows.stop, rows.step)
-    u = _isqrt(c2 * c2 * d)
-    lo = u - f2
-    hi = np.minimum(f1 - u, f2 + u + 1)
-    lo[0] = max(int(lo[0]), 0)  # c2 = 0: c1 >= 0
-    lo += (lo - c2) % 2  # c1 = c2 (mod 2), and c2 is even when c1 must be
-    n = np.maximum((hi - lo) // 2 + 1, 0)
+    c2, lo, n = _ring_rows(field, f1, f2, rows)
     size = int(n.sum())
     _strip_charge(size + len(n), 0, budget)
     c1 = np.repeat(lo - 2 * (np.cumsum(n) - n), n) + 2 * np.arange(size)
     c2 = np.repeat(c2, n)
-    del u, lo, hi
+    del lo
     root = sqrt(d)
     c = c2 * -root  # then (g^sigma)^2 = ((c1 - c2 sqrt d)/2)^2
     c += c1

@@ -691,6 +691,68 @@ def test_pair_sums_never_precede_their_column(d, symmetric):
         assert (ii[on] >= table.i0[c[on]]).all(), (v1, v2)
 
 
+def _brute_elements(field, b1, b2):
+    """(c1, c2) of every ring element g = (c1 + c2 sqrt d)/2 with g^2 <= b1 + 1 and
+    (g^sigma)^2 <= b2 + 1, one of each +-g (c2 > 0, or c2 = 0 and c1 >= 0), from the
+    whole rectangle |c1|, |c2| sqrt d <= |g| + |g^sigma|: a loose float test, then the
+    bounds' exact one on g^2 - 1 = (p - 2 + q sqrt d)/2 and on its conjugate."""
+    d, step = field.d, 3 - field.sigma
+    r = math.sqrt(float(b1) + 1) + math.sqrt(float(b2) + 1) + 1
+    c1, c2 = np.meshgrid(np.arange(-int(r), int(r) + 1),
+                         np.arange(0, int(r / math.sqrt(d)) + 1, step))
+    c1, c2 = c1.ravel(), c2.ravel()
+    g, conj = (c1 + c2 * math.sqrt(d)) / 2, (c1 - c2 * math.sqrt(d)) / 2
+    near = (((c1 - c2) % 2 == 0) & ((c2 > 0) | (c1 >= 0))
+            & (g * g <= (float(b1) + 1) * 1.001) & (conj * conj <= (float(b2) + 1) * 1.001))
+    out = []
+    for a, b in zip(c1[near].tolist(), c2[near].tolist()):
+        p, q = (a * a + d * b * b) // 2, a * b
+        if b1.allows(p - 2, q, False) and b2.allows(p - 2, -q, False):
+            out.append((a, b))
+    return out
+
+
+@given(st.sampled_from([2, 3, 5, 17]), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+# the thinner side first: with the lower edge u - f2 alone the list would hold 20,222
+# elements, where the box has 251 over 109 rows
+@example(d=3, symmetric=False, data=(Fraction(1, 3), Fraction(140000)))
+@example(d=5, symmetric=False, data=(InvSqrtBound(5, Fraction(1, 5000)), Fraction(40)))
+def test_ring_rows_list_the_box_elements(d, symmetric, data):
+    """strip._ring_rows, the one list of a box's ring elements, against its definition
+    in either order of the sides: each +-g once, g = 0 first, every element of the
+    box and at most two more per row; and the table's square points are the squares
+    of the box's elements, each of multiplicity 2 but g = 0, in symmetric and full
+    storage."""
+    field = field_new(d)
+    if isinstance(data, tuple):
+        v1, v2 = data
+    elif symmetric:
+        v1 = v2 = data.draw(st.fractions(Fraction(1, 3), 300, max_denominator=7))
+    else:
+        side = (st.fractions(Fraction(1, 1000), 300, max_denominator=1000)
+                | st.builds(lambda v: InvSqrtBound(d, v),
+                            st.fractions(Fraction(1, 7), 3000, max_denominator=7)))
+        v1, v2 = data.draw(side), data.draw(side)
+    sigma = field.sigma
+    for a, b in ((v1, v2), (v2, v1)):
+        b1, b2 = make_bound(field, a), make_bound(field, b)
+        c2, lo, n = strip._ring_rows(field, *strip._sides(field, b1, b2))
+        c1 = (np.repeat(lo - 2 * (np.cumsum(n) - n), n) + 2 * np.arange(int(n.sum()))).tolist()
+        c2 = np.repeat(c2, n).tolist()
+        listed = list(zip(c1, c2))
+        assert listed[0] == (0, 0) and len(set(listed)) == len(listed)
+        assert all((x - y) % 2 == 0 and y % (3 - sigma) == 0 and (y > 0 or x >= 0)
+                   for x, y in listed)
+        box = _brute_elements(field, b1, b2)
+        assert set(box) <= set(listed), (a, b)
+        assert len(listed) <= len(box) + 2 * len(n), (a, b, len(listed), len(box), len(n))
+        si, sj, sw = RepTable(field, a, b, symmetric=symmetric)._square_points()
+        want = sorted((sigma * (x * x + d * y * y) // 4, sigma * x * y // 2, 2 if x or y else 1)
+                      for x, y in box)
+        assert sorted(zip(si.tolist(), sj.tolist(), sw.tolist())) == want, (a, b)
+
+
 def _window_cells(table):
     """Every integer cell (i, j) of the window on rows 0..imax, from the
     closed edges of the bounds on rows i - sigma (lambda - 1 is the cell
